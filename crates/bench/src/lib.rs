@@ -15,5 +15,5 @@ pub mod sched_bench;
 pub mod timing;
 
 pub use scenario::{standard_log, standard_trace, Scenario, ScenarioResult};
-pub use sched_bench::{run_sched_bench, SchedBenchConfig, SchedBenchReport};
+pub use sched_bench::{run_sched_bench, HostInfo, SchedBenchConfig, SchedBenchReport};
 pub use timing::{bench, BenchResult};

@@ -11,12 +11,13 @@
 //! Four probe passes are timed:
 //!
 //! 1. **naive** — the scan-everything executable specification;
-//! 2. **uncached timeline** — `ReservationBook::earliest_slots`, the
-//!    allocating sliding-union walk;
+//! 2. **uncached timeline** — `ReservationBook`'s lazy slot cursor, which
+//!    negotiation pulls one slot at a time (what the simulator uses);
 //! 3. **cached cold** — `CachedReservationBook` with an empty memo: the
 //!    flattened-profile walk with width-skip tables and arena reuse (this
-//!    is what the service actually serves, and the headline
-//!    `timeline_probe_per_negotiation_us` number);
+//!    is what the service actually serves, reported as
+//!    `cached_cold_probe_*` and, under its legacy name,
+//!    `timeline_probe_*`);
 //! 4. **cached warm** — the same probe set again, now answered from the
 //!    memo; its hit rate is asserted nonzero in CI.
 //!
@@ -29,6 +30,9 @@
 //! the accepted reservations via direct `add` calls keeps the books
 //! byte-identical in content (asserted via probe-outcome equality) while
 //! keeping the benchmark runnable.
+//!
+//! The report records the host it was measured on: numbers from different
+//! hosts are not compared.
 
 use pqos_cluster::topology::Topology;
 use pqos_core::negotiate::{negotiate, NegotiationOutcome, NegotiationRequest};
@@ -39,6 +43,7 @@ use pqos_sched::place::PlacementStrategy;
 use pqos_sched::reservation::{AvailabilityView, NaiveReservationBook, ReservationBook};
 use pqos_sim_core::rng::DetRng;
 use pqos_sim_core::time::{SimDuration, SimTime, TimeWindow};
+use pqos_telemetry::json::ObjWriter;
 use pqos_workload::job::JobId;
 use std::time::Instant;
 
@@ -72,9 +77,54 @@ impl Default for SchedBenchConfig {
     }
 }
 
+/// The machine a report was measured on.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct HostInfo {
+    /// Logical CPUs available to the process.
+    pub nproc: usize,
+    /// CPU model name from `/proc/cpuinfo`, or `"unknown"`.
+    pub cpu: String,
+    /// Kernel release from `/proc/sys/kernel/osrelease`, or `"unknown"`.
+    pub kernel: String,
+}
+
+impl HostInfo {
+    /// Reads the running host's CPU count, CPU model and kernel release.
+    pub fn detect() -> Self {
+        let cpu = std::fs::read_to_string("/proc/cpuinfo")
+            .ok()
+            .and_then(|info| {
+                info.lines()
+                    .filter(|l| l.starts_with("model name"))
+                    .find_map(|l| l.split_once(':'))
+                    .map(|(_, model)| model.trim().to_string())
+            });
+        let kernel = std::fs::read_to_string("/proc/sys/kernel/osrelease")
+            .ok()
+            .map(|release| release.trim().to_string())
+            .filter(|release| !release.is_empty());
+        HostInfo {
+            nproc: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            cpu: cpu.unwrap_or_else(|| "unknown".into()),
+            kernel: kernel.unwrap_or_else(|| "unknown".into()),
+        }
+    }
+
+    /// The host as a one-line JSON object.
+    pub fn to_json(&self) -> String {
+        let mut w = ObjWriter::new();
+        w.u64("nproc", self.nproc as u64)
+            .str("cpu", &self.cpu)
+            .str("kernel", &self.kernel);
+        w.finish()
+    }
+}
+
 /// Before/after numbers from one benchmark run.
 #[derive(Debug, Clone)]
 pub struct SchedBenchReport {
+    /// The machine the run was measured on.
+    pub host: HostInfo,
     /// Cluster width the run used.
     pub cluster_size: u32,
     /// Jobs offered while building the backlog.
@@ -91,17 +141,18 @@ pub struct SchedBenchReport {
     /// Wall time for the probe set against the naive book, in milliseconds.
     pub naive_probe_ms: f64,
     /// Wall time for the probe set against the plain timeline book (the
-    /// allocating sliding-union walk), in milliseconds.
+    /// lazy slot cursor), in milliseconds.
     pub uncached_timeline_probe_ms: f64,
     /// Wall time for the probe set against the quote cache with an empty
-    /// memo, in milliseconds. This is the production cold path.
-    pub timeline_probe_ms: f64,
+    /// memo, in milliseconds. This is the production cold path, also
+    /// reported under the legacy key `timeline_probe_ms`.
+    pub cached_cold_probe_ms: f64,
     /// Wall time for the same probe set repeated against the now-warm
     /// quote cache, in milliseconds.
     pub cached_warm_probe_ms: f64,
     /// Quote-cache counters accumulated over the cold + warm passes.
     pub cache_stats: QuoteCacheStats,
-    /// `naive_probe_ms / timeline_probe_ms` (naive vs the production
+    /// `naive_probe_ms / cached_cold_probe_ms` (naive vs the production
     /// cold-cache path).
     pub speedup: f64,
 }
@@ -119,8 +170,8 @@ impl SchedBenchReport {
 
     /// Mean microseconds per probe negotiation on the cold quote cache —
     /// the headline per-negotiation cost of the production path.
-    pub fn timeline_probe_per_negotiation_us(&self) -> f64 {
-        self.timeline_probe_ms * 1000.0 / self.probe_negotiations.max(1) as f64
+    pub fn cached_cold_probe_per_negotiation_us(&self) -> f64 {
+        self.cached_cold_probe_ms * 1000.0 / self.probe_negotiations.max(1) as f64
     }
 
     /// Mean microseconds per probe negotiation on the warm quote cache.
@@ -128,13 +179,16 @@ impl SchedBenchReport {
         self.cached_warm_probe_ms * 1000.0 / self.probe_negotiations.max(1) as f64
     }
 
-    /// Renders the report as a JSON object (hand-rolled; every field is a
-    /// number or string, so no escaping is needed).
+    /// Renders the report as a JSON object (hand-rolled apart from the
+    /// escaped `host` object; every other field is a number). The cold
+    /// cache pass appears under both `cached_cold_probe_*` and its legacy
+    /// name `timeline_probe_*`.
     pub fn to_json(&self) -> String {
         format!(
             concat!(
                 "{{\n",
                 "  \"benchmark\": \"sched_negotiate_backlog\",\n",
+                "  \"host\": {},\n",
                 "  \"cluster_size\": {},\n",
                 "  \"backlog_jobs\": {},\n",
                 "  \"accepted_reservations\": {},\n",
@@ -144,10 +198,12 @@ impl SchedBenchReport {
                 "  \"naive_probe_ms\": {:.3},\n",
                 "  \"uncached_timeline_probe_ms\": {:.3},\n",
                 "  \"timeline_probe_ms\": {:.3},\n",
+                "  \"cached_cold_probe_ms\": {:.3},\n",
                 "  \"cached_warm_probe_ms\": {:.3},\n",
                 "  \"naive_probe_per_negotiation_us\": {:.1},\n",
                 "  \"uncached_timeline_probe_per_negotiation_us\": {:.1},\n",
                 "  \"timeline_probe_per_negotiation_us\": {:.1},\n",
+                "  \"cached_cold_probe_per_negotiation_us\": {:.1},\n",
                 "  \"cached_warm_probe_per_negotiation_us\": {:.1},\n",
                 "  \"quote_cache_hits\": {},\n",
                 "  \"quote_cache_misses\": {},\n",
@@ -156,6 +212,7 @@ impl SchedBenchReport {
                 "  \"speedup\": {:.1}\n",
                 "}}\n",
             ),
+            self.host.to_json(),
             self.cluster_size,
             self.backlog_jobs,
             self.accepted_reservations,
@@ -164,11 +221,13 @@ impl SchedBenchReport {
             self.timeline_build_ms,
             self.naive_probe_ms,
             self.uncached_timeline_probe_ms,
-            self.timeline_probe_ms,
+            self.cached_cold_probe_ms,
+            self.cached_cold_probe_ms,
             self.cached_warm_probe_ms,
             self.naive_probe_per_negotiation_us(),
             self.uncached_timeline_probe_per_negotiation_us(),
-            self.timeline_probe_per_negotiation_us(),
+            self.cached_cold_probe_per_negotiation_us(),
+            self.cached_cold_probe_per_negotiation_us(),
             self.cached_warm_probe_per_negotiation_us(),
             self.cache_stats.hits,
             self.cache_stats.misses,
@@ -189,7 +248,7 @@ impl SchedBenchReport {
             self.probe_negotiations,
             self.naive_probe_ms,
             self.uncached_timeline_probe_ms,
-            self.timeline_probe_ms,
+            self.cached_cold_probe_ms,
             self.cached_warm_probe_ms,
             self.speedup,
             self.cache_stats.hit_rate() * 100.0,
@@ -282,7 +341,7 @@ pub fn run_sched_bench(config: &SchedBenchConfig) -> SchedBenchReport {
 
     let cold_started = Instant::now();
     let cold_outcomes: Vec<_> = probes.iter().map(|spec| probe(&cached, *spec)).collect();
-    let timeline_probe_ms = cold_started.elapsed().as_secs_f64() * 1000.0;
+    let cached_cold_probe_ms = cold_started.elapsed().as_secs_f64() * 1000.0;
 
     let warm_started = Instant::now();
     let warm_outcomes: Vec<_> = probes.iter().map(|spec| probe(&cached, *spec)).collect();
@@ -302,6 +361,7 @@ pub fn run_sched_bench(config: &SchedBenchConfig) -> SchedBenchReport {
     );
 
     SchedBenchReport {
+        host: HostInfo::detect(),
         cluster_size: config.cluster_size,
         backlog_jobs: config.backlog,
         accepted_reservations: fast.len(),
@@ -310,11 +370,11 @@ pub fn run_sched_bench(config: &SchedBenchConfig) -> SchedBenchReport {
         timeline_build_ms,
         naive_probe_ms,
         uncached_timeline_probe_ms,
-        timeline_probe_ms,
+        cached_cold_probe_ms,
         cached_warm_probe_ms,
         cache_stats: cached.stats(),
-        speedup: if timeline_probe_ms > 0.0 {
-            naive_probe_ms / timeline_probe_ms
+        speedup: if cached_cold_probe_ms > 0.0 {
+            naive_probe_ms / cached_cold_probe_ms
         } else {
             f64::INFINITY
         },
@@ -350,7 +410,12 @@ mod tests {
             "\"naive_probe_ms\"",
             "\"uncached_timeline_probe_ms\"",
             "\"timeline_probe_ms\"",
+            "\"cached_cold_probe_ms\"",
+            "\"cached_cold_probe_per_negotiation_us\"",
             "\"cached_warm_probe_ms\"",
+            "\"host\"",
+            "\"nproc\"",
+            "\"kernel\"",
             "\"quote_cache_hits\"",
             "\"quote_cache_hit_rate\"",
             "\"speedup\"",
@@ -362,6 +427,11 @@ mod tests {
     #[test]
     fn report_rates_divide_by_probe_count() {
         let report = SchedBenchReport {
+            host: HostInfo {
+                nproc: 2,
+                cpu: "a \"quoted\" cpu".into(),
+                kernel: "6.1".into(),
+            },
             cluster_size: 8,
             backlog_jobs: 1,
             accepted_reservations: 1,
@@ -370,7 +440,7 @@ mod tests {
             timeline_build_ms: 1.0,
             naive_probe_ms: 8.0,
             uncached_timeline_probe_ms: 4.0,
-            timeline_probe_ms: 2.0,
+            cached_cold_probe_ms: 2.0,
             cached_warm_probe_ms: 1.0,
             cache_stats: QuoteCacheStats {
                 hits: 3,
@@ -382,7 +452,19 @@ mod tests {
         };
         assert_eq!(report.naive_probe_per_negotiation_us(), 2000.0);
         assert_eq!(report.uncached_timeline_probe_per_negotiation_us(), 1000.0);
-        assert_eq!(report.timeline_probe_per_negotiation_us(), 500.0);
+        assert_eq!(report.cached_cold_probe_per_negotiation_us(), 500.0);
+        // The cold pass is reported under both names, and the host object
+        // is escaped JSON.
+        let json = pqos_telemetry::json::Json::parse(&report.to_json()).expect("valid JSON");
+        for key in ["timeline_probe_ms", "cached_cold_probe_ms"] {
+            assert_eq!(json.get(key).and_then(|v| v.as_f64()), Some(2.0), "{key}");
+        }
+        let host = json.get("host").expect("host block");
+        assert_eq!(
+            host.get("cpu").and_then(|v| v.as_str()),
+            Some("a \"quoted\" cpu")
+        );
+        assert_eq!(host.get("nproc").and_then(|v| v.as_u64()), Some(2));
         assert_eq!(report.cached_warm_probe_per_negotiation_us(), 250.0);
         assert!(report.summary().contains("4.0x speedup"));
         assert!(report.summary().contains("75% warm hit rate"));

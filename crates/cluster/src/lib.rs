@@ -22,7 +22,7 @@
 //! let cluster = Cluster::new(128);
 //! let free = cluster.free_nodes();
 //! let candidates = Topology::Flat.candidate_partitions(&free, 32);
-//! assert_eq!(candidates.len(), 128 - 32 + 1);
+//! assert_eq!(candidates.count(), 128 - 32 + 1);
 //! ```
 
 #![forbid(unsafe_code)]

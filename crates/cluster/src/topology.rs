@@ -103,30 +103,65 @@ impl Topology {
     /// sorted free list — a linear-size candidate set that still offers the
     /// scheduler genuinely different failure exposures to choose among. For
     /// [`Topology::Line`] only windows that are contiguous in node index are
-    /// returned.
+    /// yielded. Flat and line candidates are built one at a time as the
+    /// iterator is pulled; torus boxes are enumerated up front.
     ///
-    /// Returns an empty vector when fewer than `size` nodes are free or
-    /// `size == 0`.
-    pub fn candidate_partitions(self, free_sorted: &[NodeId], size: usize) -> Vec<Partition> {
+    /// Yields nothing when fewer than `size` nodes are free or `size == 0`.
+    pub fn candidate_partitions(self, free_sorted: &[NodeId], size: usize) -> Candidates<'_> {
         if size == 0 || free_sorted.len() < size {
-            return Vec::new();
+            return Candidates(CandidateSource::Boxes(Vec::new().into_iter()));
         }
         debug_assert!(
             free_sorted.windows(2).all(|w| w[0] < w[1]),
             "free list must be sorted"
         );
-        if let Topology::Torus3d { x, y, z } = self {
-            return torus_boxes(free_sorted, size, u32::from(x), u32::from(y), u32::from(z));
+        match self {
+            Topology::Torus3d { x, y, z } => Candidates(CandidateSource::Boxes(
+                torus_boxes(free_sorted, size, u32::from(x), u32::from(y), u32::from(z))
+                    .into_iter(),
+            )),
+            Topology::Flat | Topology::Line => Candidates(CandidateSource::Windows {
+                windows: free_sorted.windows(size),
+                contiguous_only: matches!(self, Topology::Line),
+            }),
         }
-        let mut out = Vec::new();
-        for window in free_sorted.windows(size) {
-            let contiguous = window[size - 1].as_u32() - window[0].as_u32() == (size - 1) as u32;
-            if matches!(self, Topology::Line) && !contiguous {
-                continue;
+    }
+}
+
+/// The candidate partitions of [`Topology::candidate_partitions`], in
+/// order.
+#[derive(Debug, Clone)]
+pub struct Candidates<'a>(CandidateSource<'a>);
+
+#[derive(Debug, Clone)]
+enum CandidateSource<'a> {
+    /// Sliding windows over the free list, built as they are pulled; line
+    /// topologies skip windows that are not contiguous in node index.
+    Windows {
+        windows: std::slice::Windows<'a, NodeId>,
+        contiguous_only: bool,
+    },
+    /// Precomputed torus boxes (also the empty candidate set).
+    Boxes(std::vec::IntoIter<Partition>),
+}
+
+impl Iterator for Candidates<'_> {
+    type Item = Partition;
+
+    fn next(&mut self) -> Option<Partition> {
+        match &mut self.0 {
+            CandidateSource::Windows {
+                windows,
+                contiguous_only,
+            } => {
+                let window = windows.find(|w| {
+                    !*contiguous_only
+                        || w[w.len() - 1].as_u32() - w[0].as_u32() == (w.len() - 1) as u32
+                })?;
+                Some(Partition::new(window.iter().copied()).expect("window is non-empty"))
             }
-            out.push(Partition::new(window.iter().copied()).expect("window is non-empty"));
+            CandidateSource::Boxes(boxes) => boxes.next(),
         }
-        out
     }
 }
 
@@ -212,7 +247,7 @@ mod tests {
     #[test]
     fn flat_candidates_are_sliding_windows() {
         let free = ids(&[0, 3, 4, 7]);
-        let cands = Topology::Flat.candidate_partitions(&free, 2);
+        let cands: Vec<_> = Topology::Flat.candidate_partitions(&free, 2).collect();
         assert_eq!(cands.len(), 3);
         assert_eq!(cands[0].as_slice(), &ids(&[0, 3])[..]);
         assert_eq!(cands[2].as_slice(), &ids(&[4, 7])[..]);
@@ -221,7 +256,7 @@ mod tests {
     #[test]
     fn line_candidates_skip_gaps() {
         let free = ids(&[0, 1, 3, 4, 5]);
-        let cands = Topology::Line.candidate_partitions(&free, 2);
+        let cands: Vec<_> = Topology::Line.candidate_partitions(&free, 2).collect();
         // Valid windows: (0,1), (3,4), (4,5); (1,3) has a gap.
         assert_eq!(cands.len(), 3);
         for c in &cands {
@@ -232,14 +267,20 @@ mod tests {
     #[test]
     fn insufficient_free_nodes_yields_nothing() {
         let free = ids(&[1, 2]);
-        assert!(Topology::Flat.candidate_partitions(&free, 3).is_empty());
-        assert!(Topology::Flat.candidate_partitions(&free, 0).is_empty());
+        assert!(Topology::Flat
+            .candidate_partitions(&free, 3)
+            .next()
+            .is_none());
+        assert!(Topology::Flat
+            .candidate_partitions(&free, 0)
+            .next()
+            .is_none());
     }
 
     #[test]
     fn exact_fit_single_candidate() {
         let free = ids(&[4, 9, 11]);
-        let cands = Topology::Flat.candidate_partitions(&free, 3);
+        let cands: Vec<_> = Topology::Flat.candidate_partitions(&free, 3).collect();
         assert_eq!(cands.len(), 1);
         assert_eq!(cands[0].len(), 3);
     }
@@ -274,7 +315,7 @@ mod tests {
         let t = Topology::Torus3d { x: 2, y: 2, z: 2 };
         let free: Vec<NodeId> = (0..8).map(NodeId::new).collect();
         for size in [1usize, 2, 4, 8] {
-            let cands = t.candidate_partitions(&free, size);
+            let cands: Vec<_> = t.candidate_partitions(&free, size).collect();
             assert!(!cands.is_empty(), "size {size} should have boxes");
             for c in &cands {
                 assert_eq!(c.len(), size);
@@ -282,9 +323,9 @@ mod tests {
             }
         }
         // Size 3 has no box in a 2x2x2 machine.
-        assert!(t.candidate_partitions(&free, 3).is_empty());
+        assert!(t.candidate_partitions(&free, 3).next().is_none());
         // Size 5, 6, 7 likewise.
-        assert!(t.candidate_partitions(&free, 6).is_empty());
+        assert!(t.candidate_partitions(&free, 6).next().is_none());
     }
 
     #[test]
@@ -292,8 +333,8 @@ mod tests {
         let t = Topology::Torus3d { x: 2, y: 2, z: 2 };
         // Node 0 busy: no 8-box; 4-boxes avoiding node 0 remain.
         let free: Vec<NodeId> = (1..8).map(NodeId::new).collect();
-        assert!(t.candidate_partitions(&free, 8).is_empty());
-        let quads = t.candidate_partitions(&free, 4);
+        assert!(t.candidate_partitions(&free, 8).next().is_none());
+        let quads: Vec<_> = t.candidate_partitions(&free, 4).collect();
         assert!(!quads.is_empty());
         for q in &quads {
             assert!(!q.contains(NodeId::new(0)));
@@ -306,7 +347,7 @@ mod tests {
         // 1x2x1 (4*3*8), 1x1x2 (4*4*7) = 96 + 96 + 112 = 304.
         let t = Topology::Torus3d { x: 4, y: 4, z: 8 };
         let free: Vec<NodeId> = (0..128).map(NodeId::new).collect();
-        assert_eq!(t.candidate_partitions(&free, 2).len(), 304);
+        assert_eq!(t.candidate_partitions(&free, 2).count(), 304);
     }
 
     #[test]

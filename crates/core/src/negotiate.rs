@@ -13,6 +13,13 @@
 //! when the book runs out (the machine is idle past its last commitment)
 //! the search keeps probing forward in fixed steps, because an idle machine
 //! can still carry predicted failures worth dodging.
+//!
+//! The search is lazy: slots are pulled from the book one at a time
+//! ([`AvailabilityView::lazy_slots`]) and candidate partitions within a
+//! slot are built only as the placement loop reaches them, so a
+//! negotiation that accepts its first quote builds one slot and usually
+//! one partition. Quotes are still considered in increasing start order,
+//! exactly as an eager enumeration would list them.
 
 use crate::user::UserStrategy;
 use pqos_cluster::node::NodeId;
@@ -178,42 +185,38 @@ pub fn negotiate_with_telemetry<B: AvailabilityView, P: Predictor>(
     // loop below applies the same boundary). A single excluded pass would
     // treat a window starting at or exactly on the horizon as if the
     // recovered nodes were still gone, skipping perfectly usable holes.
-    let mut slots = if request.down.is_empty() || request.recovery_horizon <= request.now {
-        book.earliest_slots(
+    // Slot starts strictly increase, so cutting the excluded walk at the
+    // horizon and appending the unexcluded walk from it keeps them sorted.
+    let split = !request.down.is_empty() && request.recovery_horizon > request.now;
+    let pre = book
+        .lazy_slots(
             request.size,
             request.duration,
             request.now,
             request.down,
             max_slots,
         )
-    } else {
-        let mut pre = book.earliest_slots(
-            request.size,
-            request.duration,
-            request.now,
-            request.down,
-            max_slots,
-        );
-        pre.retain(|s| s.start < request.recovery_horizon);
-        let post = book.earliest_slots(
+        .take_while(|s| !split || s.start < request.recovery_horizon);
+    let post = split.then(|| {
+        book.lazy_slots(
             request.size,
             request.duration,
             request.recovery_horizon,
             &[],
             max_slots,
-        );
-        // Starts stay strictly increasing: every retained pre-horizon
-        // start precedes every post-horizon one.
-        pre.extend(post);
-        pre.truncate(max_slots);
-        pre
-    };
-    if slots.is_empty() {
-        // Down nodes blocked every slot; by the recovery horizon they are
-        // back. The machine past its last commitment is otherwise free.
+        )
+    });
+    let mut primary = pre
+        .chain(post.into_iter().flatten())
+        .take(max_slots)
+        .peekable();
+    // Down nodes blocked every slot; by the recovery horizon they are
+    // back. The machine past its last commitment is otherwise free.
+    let retry = primary.peek().is_none().then(|| {
         let from = request.recovery_horizon.max(request.now);
-        slots = book.earliest_slots(request.size, request.duration, from, &[], max_slots);
-    }
+        book.lazy_slots(request.size, request.duration, from, &[], max_slots)
+    });
+    let slots = primary.chain(retry.into_iter().flatten());
 
     // When no quote satisfies the user, the fallback is the *earliest*
     // quote whose promise is within this tolerance of the best promise
@@ -240,7 +243,10 @@ pub fn negotiate_with_telemetry<B: AvailabilityView, P: Predictor>(
             start.saturating_add(request.duration),
         )
     };
-    for slot in &slots {
+    // Slots are pulled one at a time: most negotiations accept the first.
+    let mut probe_base = request.now;
+    for slot in slots {
+        probe_base = slot.start;
         let window = TimeWindow::starting_at(slot.start, request.duration);
         let Some(choice) = choose_partition_with_telemetry(
             topology,
@@ -270,7 +276,6 @@ pub fn negotiate_with_telemetry<B: AvailabilityView, P: Predictor>(
 
     // Probe past the book: step the start forward by the job duration from
     // the latest slot examined (or from `now` if the book was empty).
-    let probe_base = slots.last().map(|s| s.start).unwrap_or(request.now);
     let step = request.duration.max(SimDuration::from_secs(1));
     for k in 1..=max_probe_steps {
         let start = probe_base.saturating_add(step.saturating_mul(k as u64));

@@ -80,9 +80,11 @@ pub struct SimOutput {
     pub telemetry: Option<Snapshot>,
 }
 
+/// A simulation event. `Arrival` carries the job's index into
+/// `arrival_order`, so dispatch needs no search.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Event {
-    Arrival(JobId),
+    Arrival(usize),
     Start { job: JobId, epoch: u32 },
     CheckpointRequest { job: JobId, epoch: u32 },
     CheckpointFinish { job: JobId, epoch: u32 },
@@ -334,8 +336,9 @@ impl QosSimulator {
         for (time, index) in failure_schedule {
             self.push_event(time, Event::NodeFailure { index });
         }
-        for job in self.arrival_order.clone() {
-            self.push_event(job.arrival(), Event::Arrival(job.id()));
+        for index in 0..self.arrival_order.len() {
+            let at = self.arrival_order[index].arrival();
+            self.push_event(at, Event::Arrival(index));
         }
         while let Some((now, event)) = self.events.pop() {
             let timer = self.profiler.timer(&event);
@@ -354,7 +357,7 @@ impl QosSimulator {
 
     fn dispatch(&mut self, now: SimTime, event: Event) {
         match event {
-            Event::Arrival(job) => self.on_arrival(now, job),
+            Event::Arrival(index) => self.on_arrival(now, index),
             Event::Start { job, epoch } => self.on_start(now, job, epoch),
             Event::CheckpointRequest { job, epoch } => self.on_ckpt_request(now, job, epoch),
             Event::CheckpointFinish { job, epoch } => self.on_ckpt_finish(now, job, epoch),
@@ -380,12 +383,9 @@ impl QosSimulator {
         (down, horizon)
     }
 
-    fn on_arrival(&mut self, now: SimTime, id: JobId) {
-        let job = *self
-            .arrival_order
-            .iter()
-            .find(|j| j.id() == id)
-            .expect("arrival for unknown job");
+    fn on_arrival(&mut self, now: SimTime, index: usize) {
+        let job = self.arrival_order[index];
+        let id = job.id();
         self.telemetry.counter("jobs.submitted").inc();
         self.telemetry.emit(|| TelemetryEvent::JobSubmitted {
             at: now,

@@ -6,8 +6,8 @@
 //! event predictor breaks ties among otherwise-equivalent placements.
 //!
 //! * [`reservation`] — the [`reservation::ReservationBook`] availability
-//!   profile: commitments, conflict detection, hole enumeration
-//!   ([`reservation::ReservationBook::earliest_slots`]), maintained as an
+//!   profile: commitments, conflict detection, lazy hole enumeration
+//!   ([`reservation::ReservationBook::slot_cursor`]), maintained as an
 //!   incremental timeline of busy-node bitmasks, with a scan-everything
 //!   [`reservation::NaiveReservationBook`] kept as the executable
 //!   specification;
@@ -56,5 +56,5 @@ pub use place::{
 };
 pub use reservation::{
     AvailabilityView, NaiveReservationBook, Reservation, ReservationBook, ReservationError,
-    ReservationId, Slot,
+    ReservationId, Slot, SlotCursor,
 };

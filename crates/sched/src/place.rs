@@ -6,6 +6,11 @@
 //! the topology's sliding windows over the free list plus a greedy
 //! "safest-nodes" candidate (flat topology only), ranked by per-node
 //! predicted failure probability.
+//!
+//! Candidates are examined in that order and built only when reached: the
+//! first clean (`pf = 0`) window ends the search, so the greedy candidate
+//! (one predictor query per free node plus a sort) is scored only when no
+//! window is clean.
 
 use pqos_cluster::node::NodeId;
 use pqos_cluster::partition::Partition;
@@ -147,12 +152,11 @@ fn choose_partition_inner<P: Predictor>(
         return (None, probe);
     }
     let mut candidates = topology.candidate_partitions(free, size as usize);
-    if candidates.is_empty() {
-        return (None, probe);
-    }
     match strategy {
         PlacementStrategy::FirstFit => {
-            let partition = candidates.swap_remove(0);
+            let Some(partition) = candidates.next() else {
+                return (None, probe);
+            };
             let pf = predictor.failure_probability(partition.as_slice(), window);
             probe.candidates_examined = 1;
             (
@@ -164,30 +168,30 @@ fn choose_partition_inner<P: Predictor>(
             )
         }
         PlacementStrategy::MinFailureProbability => {
-            if matches!(topology, Topology::Flat) {
-                if let Some(greedy) = greedy_safest(free, size as usize, window, predictor) {
-                    candidates.push(greedy);
-                }
-            }
             let mut best: Option<PlacementChoice> = None;
-            for partition in candidates {
+            let mut consider = |partition: Partition, probe: &mut PlacementProbe| {
                 let pf = predictor.failure_probability(partition.as_slice(), window);
                 probe.candidates_examined += 1;
-                let better = match &best {
-                    None => true,
-                    Some(b) => pf < b.failure_probability,
-                };
-                if better {
-                    let done = pf == 0.0;
+                if best.as_ref().is_none_or(|b| pf < b.failure_probability) {
                     best = Some(PlacementChoice {
                         partition,
                         failure_probability: pf,
                     });
-                    if done {
-                        // Cannot do better than a clean partition; earlier
-                        // candidates (lower node ids) win ties.
-                        break;
-                    }
+                }
+                pf == 0.0
+            };
+            // Cannot do better than a clean partition; earlier candidates
+            // (lower node ids) win ties, so the first clean one ends the
+            // search. Candidates are built only as they are reached.
+            let clean = candidates.any(|partition| consider(partition, &mut probe));
+            if probe.candidates_examined == 0 {
+                return (None, probe);
+            }
+            // The greedy candidate ranks after every window, so it is
+            // scored only when no window was clean.
+            if !clean && matches!(topology, Topology::Flat) {
+                if let Some(greedy) = greedy_safest(free, size as usize, window, predictor) {
+                    consider(greedy, &mut probe);
                 }
             }
             probe.clean_tie_break = best.as_ref().is_some_and(|b| b.failure_probability == 0.0);

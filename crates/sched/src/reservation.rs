@@ -24,9 +24,11 @@
 //! * `free_nodes_during` — `O(log R + K·W)` instead of a full `O(R·P)`
 //!   scan;
 //! * `change_points` — `O(log R + K)` (a range read of the key set);
-//! * `earliest_slots` — one sliding-window walk of the profile,
-//!   `O(R·W + output)`, instead of re-scanning every reservation at every
-//!   change point (`O(R²·P)`).
+//! * `slot_cursor` (and `earliest_slots`, its first `max_slots` items) —
+//!   one lazy sliding-window walk of the profile, `O(log R + K·W)` plus
+//!   one free list per slot yielded, where `K` counts only the segments up
+//!   to the last pulled slot's window end, instead of re-scanning every
+//!   reservation at every change point (`O(R²·P)`).
 //!
 //! [`NaiveReservationBook`] preserves the original scan-everything
 //! implementation. It is the executable specification: the property harness
@@ -133,6 +135,28 @@ pub trait AvailabilityView {
         exclude: &[NodeId],
         max_slots: usize,
     ) -> Vec<Slot>;
+
+    /// The slots of [`AvailabilityView::earliest_slots`], in the same
+    /// order, pulled one at a time. Negotiation reads slots through this
+    /// method and usually stops at the first.
+    ///
+    /// The default collects `earliest_slots` up front, so books that
+    /// memoize whole slot vectors keep doing so; the timeline book
+    /// overrides it with its lazy [`SlotCursor`].
+    fn lazy_slots(
+        &self,
+        size: u32,
+        duration: SimDuration,
+        from: SimTime,
+        exclude: &[NodeId],
+        max_slots: usize,
+    ) -> impl Iterator<Item = Slot>
+    where
+        Self: Sized,
+    {
+        self.earliest_slots(size, duration, from, exclude, max_slots)
+            .into_iter()
+    }
 }
 
 /// One piece of the piecewise-constant profile: the busy mask in effect
@@ -181,6 +205,9 @@ pub struct ReservationBook {
     /// (every reservation has ended by the last key, so the final
     /// segment's mask is always empty).
     timeline: BTreeMap<SimTime, Segment>,
+    /// The empty busy mask in effect before the first key, borrowed by
+    /// slot cursors that start there.
+    all_free: NodeMask,
 }
 
 impl ReservationBook {
@@ -196,6 +223,7 @@ impl ReservationBook {
             reservations: BTreeMap::new(),
             next_id: 0,
             timeline: BTreeMap::new(),
+            all_free: NodeMask::empty(cluster_size),
         }
     }
 
@@ -417,12 +445,8 @@ impl ReservationBook {
     ///
     /// Slots are returned in increasing start-time order. The final change
     /// point (after which the machine is idle) guarantees at least one slot
-    /// whenever `size ≤ cluster_size − exclude.len()`.
-    ///
-    /// This is a single forward walk of the profile: the busy union over
-    /// each candidate window `[t, t + duration)` is maintained with a
-    /// two-stack sliding-window aggregation (union is associative but not
-    /// invertible, so plain running state would not support eviction).
+    /// whenever `size ≤ cluster_size − exclude.len()`. This is the first
+    /// `max_slots` items of [`ReservationBook::slot_cursor`].
     ///
     /// # Panics
     ///
@@ -435,59 +459,81 @@ impl ReservationBook {
         exclude: &[NodeId],
         max_slots: usize,
     ) -> Vec<Slot> {
+        self.slot_cursor(size, duration, from, exclude)
+            .take(max_slots)
+            .collect()
+    }
+
+    /// The feasible placement opportunities of
+    /// [`ReservationBook::earliest_slots`], produced one at a time as the
+    /// caller pulls them.
+    ///
+    /// The cursor is a single forward walk of the profile: the busy union
+    /// over each candidate window `[t, t + duration)` is maintained with a
+    /// two-stack sliding-window aggregation (union is associative but not
+    /// invertible, so plain running state would not support eviction).
+    /// Segments are read from the timeline on demand, so pulling `k` slots
+    /// costs the segments up to the `k`-th slot's window end, not the whole
+    /// profile, and a slot's free list is built only when it is yielded.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `size == 0` or `duration` is zero.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use pqos_cluster::partition::Partition;
+    /// use pqos_sched::reservation::ReservationBook;
+    /// use pqos_sim_core::time::{SimDuration, SimTime, TimeWindow};
+    /// use pqos_workload::job::JobId;
+    ///
+    /// let mut book = ReservationBook::new(4);
+    /// book.add(
+    ///     JobId::new(1),
+    ///     Partition::contiguous(0, 4),
+    ///     TimeWindow::new(SimTime::from_secs(100), SimTime::from_secs(200)),
+    /// )?;
+    /// let mut cursor = book.slot_cursor(2, SimDuration::from_secs(50), SimTime::ZERO, &[]);
+    /// assert_eq!(cursor.next().unwrap().start, SimTime::ZERO);
+    /// assert_eq!(cursor.next().unwrap().start, SimTime::from_secs(200));
+    /// assert!(cursor.next().is_none());
+    /// # Ok::<(), pqos_sched::reservation::ReservationError>(())
+    /// ```
+    pub fn slot_cursor(
+        &self,
+        size: u32,
+        duration: SimDuration,
+        from: SimTime,
+        exclude: &[NodeId],
+    ) -> SlotCursor<'_> {
         assert!(size > 0, "job size must be positive");
         assert!(!duration.is_zero(), "duration must be positive");
-        let mut out = Vec::new();
-        if max_slots == 0 {
-            return out;
-        }
-        let exclude_mask = NodeMask::from_nodes(exclude.iter().copied(), self.cluster_size);
-
-        // Materialize the profile from `from` on: segment i spans
-        // [segs[i].0, segs[i+1].0), and the last runs to infinity with an
+        // Segment i spans [t_i, t_{i+1}); the first is `from` itself under
+        // the mask in effect there, the last runs to infinity with an
         // always-empty mask.
-        let all_free = NodeMask::empty(self.cluster_size);
-        let mut segs: Vec<(SimTime, &NodeMask)> = Vec::with_capacity(self.timeline.len() + 1);
         let head = self
             .timeline
             .range(..=from)
             .next_back()
             .map(|(_, seg)| &seg.busy)
-            .unwrap_or(&all_free);
-        segs.push((from, head));
+            .unwrap_or(&self.all_free);
         let after = (Bound::Excluded(from), Bound::Unbounded);
-        segs.extend(self.timeline.range(after).map(|(t, seg)| (*t, &seg.busy)));
-
-        // Every segment start is a candidate window start. Both window
-        // endpoints only move forward, so segments enter and leave the
-        // sliding union at most once each.
-        let mut win = SlidingUnion::new(self.cluster_size);
-        let mut lo = 0usize;
-        let mut hi = 0usize;
-        let mut busy = NodeMask::empty(self.cluster_size);
-        for (i, &(t, _)) in segs.iter().enumerate() {
-            let end = t.saturating_add(duration);
-            while lo < i {
-                win.pop();
-                lo += 1;
-            }
-            while hi < segs.len() && segs[hi].0 < end {
-                win.push(segs[hi].1);
-                hi += 1;
-            }
-            win.union_into(&mut busy);
-            busy.or_assign(&exclude_mask);
-            if busy.count_zeros() >= size {
-                out.push(Slot {
-                    start: t,
-                    free: busy.complement_nodes(),
-                });
-                if out.len() >= max_slots {
-                    break;
-                }
-            }
+        let segments: Segments<'_> = std::iter::once((from, head)).chain(
+            self.timeline
+                .range(after)
+                .map(segment_entry as SegmentEntry<'_>),
+        );
+        SlotCursor {
+            size,
+            duration,
+            exclude: NodeMask::from_nodes(exclude.iter().copied(), self.cluster_size),
+            starts: segments.clone(),
+            ahead: segments.peekable(),
+            started: false,
+            win: SlidingUnion::new(self.cluster_size),
+            busy: NodeMask::empty(self.cluster_size),
         }
-        out
     }
 
     /// Whether any node of `mask` is committed somewhere in `interval`.
@@ -593,6 +639,77 @@ impl AvailabilityView for ReservationBook {
     ) -> Vec<Slot> {
         ReservationBook::earliest_slots(self, size, duration, from, exclude, max_slots)
     }
+    fn lazy_slots(
+        &self,
+        size: u32,
+        duration: SimDuration,
+        from: SimTime,
+        exclude: &[NodeId],
+        max_slots: usize,
+    ) -> impl Iterator<Item = Slot> {
+        self.slot_cursor(size, duration, from, exclude)
+            .take(max_slots)
+    }
+}
+
+type SegmentEntry<'a> = fn((&'a SimTime, &'a Segment)) -> (SimTime, &'a NodeMask);
+
+/// The profile from a cursor's origin on, as `(segment start, busy mask)`.
+type Segments<'a> = std::iter::Chain<
+    std::iter::Once<(SimTime, &'a NodeMask)>,
+    std::iter::Map<std::collections::btree_map::Range<'a, SimTime, Segment>, SegmentEntry<'a>>,
+>;
+
+fn segment_entry<'a>((t, seg): (&'a SimTime, &'a Segment)) -> (SimTime, &'a NodeMask) {
+    (*t, &seg.busy)
+}
+
+/// A lazy walk of a [`ReservationBook`]'s feasible slots; see
+/// [`ReservationBook::slot_cursor`].
+///
+/// Every segment start is a candidate window start. Both window endpoints
+/// only move forward, so a segment enters (`ahead`) and leaves (`starts`
+/// passing it) the sliding union at most once.
+#[derive(Debug)]
+pub struct SlotCursor<'a> {
+    size: u32,
+    duration: SimDuration,
+    exclude: NodeMask,
+    /// The next candidate start segment.
+    starts: Segments<'a>,
+    /// The first segment not yet admitted to the window.
+    ahead: std::iter::Peekable<Segments<'a>>,
+    /// Whether a start has been examined; its segment leaves the window
+    /// before the next start is.
+    started: bool,
+    win: SlidingUnion<'a>,
+    busy: NodeMask,
+}
+
+impl Iterator for SlotCursor<'_> {
+    type Item = Slot;
+
+    fn next(&mut self) -> Option<Slot> {
+        for (t, _) in self.starts.by_ref() {
+            if self.started {
+                self.win.pop();
+            }
+            self.started = true;
+            let end = t.saturating_add(self.duration);
+            while let Some((_, mask)) = self.ahead.next_if(|&(s, _)| s < end) {
+                self.win.push(mask);
+            }
+            self.win.union_into(&mut self.busy);
+            self.busy.or_assign(&self.exclude);
+            if self.busy.count_zeros() >= self.size {
+                return Some(Slot {
+                    start: t,
+                    free: self.busy.complement_nodes(),
+                });
+            }
+        }
+        None
+    }
 }
 
 /// Two-stack sliding-window union of node masks.
@@ -601,15 +718,17 @@ impl AvailabilityView for ReservationBook {
 /// reads the union of everything currently admitted — all amortized one
 /// mask operation each. Entries in `front` store the union of themselves
 /// and every younger entry below them, so the top of `front` plus the
-/// running `back_agg` covers the whole window.
-struct SlidingUnion {
+/// running `back_agg` covers the whole window. Admitted masks are borrowed
+/// from the timeline until a flip folds them into `front`.
+#[derive(Debug)]
+struct SlidingUnion<'a> {
     front: Vec<NodeMask>,
-    back: Vec<NodeMask>,
+    back: Vec<&'a NodeMask>,
     back_agg: NodeMask,
     width: u32,
 }
 
-impl SlidingUnion {
+impl<'a> SlidingUnion<'a> {
     fn new(width: u32) -> Self {
         SlidingUnion {
             front: Vec::new(),
@@ -619,8 +738,8 @@ impl SlidingUnion {
         }
     }
 
-    fn push(&mut self, mask: &NodeMask) {
-        self.back.push(mask.clone());
+    fn push(&mut self, mask: &'a NodeMask) {
+        self.back.push(mask);
         self.back_agg.or_assign(mask);
     }
 
@@ -631,7 +750,7 @@ impl SlidingUnion {
             // and everything younger.
             let mut agg = NodeMask::empty(self.width);
             while let Some(mask) = self.back.pop() {
-                agg.or_assign(&mask);
+                agg.or_assign(mask);
                 self.front.push(agg.clone());
             }
             self.back_agg.clear_all();

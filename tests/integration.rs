@@ -99,6 +99,65 @@ fn accounting_invariants_hold() {
     }
 }
 
+/// Pins the simulator's exact output on the paper's standard log and trace
+/// at reduced scale: both logs at U = 0.9 with no forecasting (a = 0) and a
+/// perfect oracle (a = 1). Any change to negotiation order, placement or
+/// slot enumeration that alters a single quote shows up here.
+#[test]
+fn simulator_reports_are_pinned() {
+    use pqos_bench::scenario::{standard_log, standard_trace};
+    const GOLDEN: [(LogModel, f64, usize, &str); 4] = [
+        (
+            LogModel::NasaIpsc,
+            0.0,
+            0,
+            "SimReport { qos: 0.9858231803913333, utilization: 0.4420029318346746, \
+             lost_work: 142668, total_work: 5223527, makespan: SimDuration(92327), jobs: 2000, \
+             deadline_misses: 43, job_failures: 4, checkpoints_performed: 63, \
+             checkpoints_skipped: 8, mean_promise: 1.0, mean_wait_secs: 381.6475, \
+             threshold_satisfied_fraction: 1.0 }",
+        ),
+        (
+            LogModel::NasaIpsc,
+            1.0,
+            0,
+            "SimReport { qos: 1.0, utilization: 0.4420029318346746, lost_work: 0, \
+             total_work: 5223527, makespan: SimDuration(92327), jobs: 2000, deadline_misses: 0, \
+             job_failures: 0, checkpoints_performed: 71, checkpoints_skipped: 0, \
+             mean_promise: 1.0, mean_wait_secs: 352.078, threshold_satisfied_fraction: 1.0 }",
+        ),
+        (
+            LogModel::SdscSp2,
+            0.0,
+            0,
+            "SimReport { qos: 0.6983420607976764, utilization: 0.5727195625810066, \
+             lost_work: 6576282, total_work: 151242096, makespan: SimDuration(2063102), \
+             jobs: 2000, deadline_misses: 55, job_failures: 82, checkpoints_performed: 3705, \
+             checkpoints_skipped: 35, mean_promise: 1.0, mean_wait_secs: 30517.459, \
+             threshold_satisfied_fraction: 1.0 }",
+        ),
+        (
+            LogModel::SdscSp2,
+            1.0,
+            0,
+            "SimReport { qos: 0.9714054334447604, utilization: 0.5960258223623646, \
+             lost_work: 382201, total_work: 151242096, makespan: SimDuration(1982429), \
+             jobs: 2000, deadline_misses: 3, job_failures: 4, checkpoints_performed: 3731, \
+             checkpoints_skipped: 4, mean_promise: 0.9977875258578522, \
+             mean_wait_secs: 23032.7505, threshold_satisfied_fraction: 1.0 }",
+        ),
+    ];
+    let trace = standard_trace();
+    for (model, a, rejected, report) in GOLDEN {
+        let config = SimConfig::paper_defaults()
+            .accuracy(a)
+            .user(UserStrategy::risk_threshold(0.9).expect("valid threshold"));
+        let out = QosSimulator::new(config, standard_log(model, 2000), Arc::clone(&trace)).run();
+        assert_eq!(out.rejected.len(), rejected, "{model:?} a={a}: rejected");
+        assert_eq!(format!("{:?}", out.report), report, "{model:?} a={a}");
+    }
+}
+
 #[test]
 fn prediction_improves_qos_and_reduces_lost_work() {
     // The headline claim at reduced scale: perfect prediction with

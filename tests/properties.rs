@@ -301,7 +301,9 @@ fn reservation_book_never_double_books() {
 /// every query identically across randomized add/remove/truncate histories:
 /// same add outcomes (including which conflict is reported), same removed
 /// reservations, and bit-identical `free_nodes_during`, `change_points`,
-/// and `earliest_slots` answers throughout.
+/// and `earliest_slots` answers throughout. The lazy slot cursor's first
+/// `k` slots equal the naive `earliest_slots(.., k)` for every
+/// `k ≤ max_slots`, with and without exclusions.
 #[test]
 fn timeline_reservation_book_matches_naive_reference() {
     use pqos_sched::reservation::{AvailabilityView, NaiveReservationBook};
@@ -460,6 +462,32 @@ fn timeline_reservation_book_matches_naive_reference() {
                         ),
                         "case {case} op {i}: earliest_slots(size={size}) diverges"
                     );
+                    // The lazy cursor: every prefix, and the whole walk,
+                    // with and without exclusions.
+                    let dur = SimDuration::from_secs(*dur);
+                    for excl in [&excl[..], &[]] {
+                        for k in 0..=*max_slots {
+                            let want = naive.earliest_slots(*size, dur, from, excl, k);
+                            assert_eq!(
+                                fast.slot_cursor(*size, dur, from, excl)
+                                    .take(k)
+                                    .collect::<Vec<_>>(),
+                                want,
+                                "case {case} op {i}: slot_cursor prefix {k} diverges"
+                            );
+                            assert_eq!(
+                                fast.lazy_slots(*size, dur, from, excl, k)
+                                    .collect::<Vec<_>>(),
+                                want,
+                                "case {case} op {i}: lazy_slots({k}) diverges"
+                            );
+                        }
+                        assert_eq!(
+                            fast.slot_cursor(*size, dur, from, excl).collect::<Vec<_>>(),
+                            naive.earliest_slots(*size, dur, from, excl, usize::MAX),
+                            "case {case} op {i}: full slot_cursor walk diverges"
+                        );
+                    }
                 }
             }
             assert_eq!(
@@ -1226,6 +1254,309 @@ fn negotiation_postconditions() {
         }
         assert!(outcome.quotes_examined >= 1, "case {case}");
     }
+}
+
+/// `negotiate` gives the same outcome on the timeline book (which pulls
+/// slots lazily through its cursor), the quote-cached book and the naive
+/// specification (both of which answer with whole slot vectors), across
+/// flat, line and torus machines, both placement strategies, random user
+/// thresholds and a random-failure oracle. Requests include down nodes
+/// that recover after `now` (the pre/post-horizon slot split) and down
+/// nodes that block every slot while already due back (the empty-first-pull
+/// recovery retry).
+#[test]
+fn negotiation_agrees_across_books() {
+    use pqos_cluster::topology::Topology;
+    use pqos_core::negotiate::{negotiate, NegotiationOutcome, NegotiationRequest};
+    use pqos_sched::cache::CachedReservationBook;
+    use pqos_sched::place::PlacementStrategy;
+    use pqos_sched::reservation::{AvailabilityView, NaiveReservationBook};
+
+    const NODES: u32 = 12;
+    const TOPOLOGIES: [Topology; 3] = [
+        Topology::Flat,
+        Topology::Line,
+        Topology::Torus3d { x: 2, y: 2, z: 3 },
+    ];
+
+    struct Req {
+        size: u32,
+        duration: u64,
+        now: u64,
+        down: Vec<NodeId>,
+        horizon: u64,
+        threshold: f64,
+        max_slots: usize,
+        probes: usize,
+        topology: Topology,
+        placement: PlacementStrategy,
+    }
+
+    fn quote<B: AvailabilityView>(
+        book: &B,
+        req: &Req,
+        oracle: &TraceOracle,
+    ) -> Option<NegotiationOutcome> {
+        negotiate(
+            book,
+            req.topology,
+            req.placement,
+            oracle,
+            NegotiationRequest {
+                size: req.size,
+                duration: SimDuration::from_secs(req.duration),
+                now: SimTime::from_secs(req.now),
+                down: &req.down,
+                recovery_horizon: SimTime::from_secs(req.horizon),
+                pre_start_risk: SimDuration::from_secs(120),
+            },
+            &UserStrategy::risk_threshold(req.threshold).expect("valid"),
+            req.max_slots,
+            req.probes,
+        )
+    }
+
+    let mut split = 0;
+    let mut retried = 0;
+    for (case, (reservations, failures, requests)) in cases("negotiate-books", 48, |rng| {
+        let reservations: Vec<(Vec<u32>, u64, u64)> = (0..rng.uniform_u64(0, 30))
+            .map(|_| {
+                let nodes = (0..rng.uniform_u64(1, 5))
+                    .map(|_| rng.uniform_u64(0, u64::from(NODES) - 1) as u32)
+                    .collect();
+                (nodes, rng.uniform_u64(0, 3_000), rng.uniform_u64(1, 800))
+            })
+            .collect();
+        let failures = random_failures(rng, 30, 6_000, NODES);
+        let requests: Vec<Req> = (0..8)
+            .map(|_| {
+                let now = rng.uniform_u64(0, 3_000);
+                let (down, horizon) = match rng.uniform_u64(0, 4) {
+                    // Nobody down.
+                    0 => (Vec::new(), now),
+                    // Everything down: recovered by `now` (the first pull
+                    // is empty) or recovering later (only post-horizon
+                    // slots exist).
+                    1 => (
+                        (0..NODES).map(NodeId::new).collect(),
+                        if rng.chance(0.5) {
+                            now.saturating_sub(rng.uniform_u64(0, 100))
+                        } else {
+                            now + rng.uniform_u64(1, 600)
+                        },
+                    ),
+                    // A few nodes down until some point around `now`.
+                    _ => (
+                        (0..rng.uniform_u64(1, 4))
+                            .map(|_| NodeId::new(rng.uniform_u64(0, u64::from(NODES) - 1) as u32))
+                            .collect(),
+                        (now + rng.uniform_u64(0, 600)).saturating_sub(100),
+                    ),
+                };
+                Req {
+                    size: rng.uniform_u64(1, u64::from(NODES)) as u32,
+                    duration: rng.uniform_u64(1, 600),
+                    now,
+                    down,
+                    horizon,
+                    threshold: rng.unit(),
+                    max_slots: rng.uniform_u64(1, 8) as usize,
+                    probes: rng.uniform_u64(0, 6) as usize,
+                    topology: TOPOLOGIES[rng.uniform_u64(0, 2) as usize],
+                    placement: if rng.chance(0.5) {
+                        PlacementStrategy::MinFailureProbability
+                    } else {
+                        PlacementStrategy::FirstFit
+                    },
+                }
+            })
+            .collect();
+        (reservations, failures, requests)
+    })
+    .into_iter()
+    .enumerate()
+    {
+        let mut timeline = ReservationBook::new(NODES);
+        let mut cached = CachedReservationBook::new(NODES);
+        let mut naive = NaiveReservationBook::new(NODES);
+        for (j, (nodes, start, dur)) in reservations.iter().enumerate() {
+            let partition =
+                Partition::new(nodes.iter().copied().map(NodeId::new)).expect("non-empty");
+            let window =
+                TimeWindow::new(SimTime::from_secs(*start), SimTime::from_secs(start + dur));
+            let job = JobId::new(j as u64);
+            let a = timeline.add(job, partition.clone(), window);
+            assert_eq!(a, cached.add(job, partition.clone(), window), "case {case}");
+            assert_eq!(a, naive.add(job, partition, window), "case {case}");
+        }
+        let trace = Arc::new(FailureTrace::new(failures).expect("valid"));
+        let oracle = TraceOracle::new(trace, 1.0).expect("valid accuracy");
+        for (i, req) in requests.iter().enumerate() {
+            if !req.down.is_empty() {
+                if req.horizon > req.now {
+                    split += 1;
+                } else if req.down.len() == NODES as usize {
+                    retried += 1;
+                }
+            }
+            let want = quote(&naive, req, &oracle);
+            assert_eq!(
+                quote(&timeline, req, &oracle),
+                want,
+                "case {case} request {i}: timeline book diverges"
+            );
+            // Twice on the cached book: a cold walk, then a memo hit.
+            for pass in 0..2 {
+                assert_eq!(
+                    quote(&cached, req, &oracle),
+                    want,
+                    "case {case} request {i} pass {pass}: cached book diverges"
+                );
+            }
+        }
+    }
+    assert!(split > 0, "no request split slots at a recovery horizon");
+    assert!(retried > 0, "no request exercised the recovery retry");
+}
+
+/// The lazy partition chooser matches an eager reference that builds every
+/// candidate (and, on a flat machine, the greedy safest-nodes set) up
+/// front, scores them all, and takes the first strict minimum of the
+/// prefix ending at the first clean candidate. Both the choice and the
+/// number of candidates examined must agree, on flat, line and torus
+/// machines under both strategies, with a random-failure oracle.
+#[test]
+fn lazy_placement_matches_eager_reference() {
+    use pqos_cluster::topology::Topology;
+    use pqos_sched::place::{choose_partition_with_telemetry, PlacementChoice, PlacementStrategy};
+    use pqos_telemetry::Telemetry;
+
+    /// The pre-lazy chooser, kept here as the specification.
+    fn eager_reference<P: Predictor>(
+        topology: Topology,
+        free: &[NodeId],
+        size: usize,
+        window: TimeWindow,
+        predictor: &P,
+        strategy: PlacementStrategy,
+    ) -> (Option<PlacementChoice>, usize) {
+        if size == 0 || free.len() < size {
+            return (None, 0);
+        }
+        let mut candidates: Vec<Partition> = match topology {
+            Topology::Torus3d { .. } => topology.candidate_partitions(free, size).collect(),
+            Topology::Flat | Topology::Line => free
+                .windows(size)
+                .filter(|w| {
+                    topology == Topology::Flat
+                        || w[size - 1].as_u32() - w[0].as_u32() == (size - 1) as u32
+                })
+                .map(|w| Partition::new(w.iter().copied()).expect("non-empty"))
+                .collect(),
+        };
+        if candidates.is_empty() {
+            return (None, 0);
+        }
+        if strategy == PlacementStrategy::MinFailureProbability && topology == Topology::Flat {
+            let mut scored: Vec<(f64, NodeId)> = free
+                .iter()
+                .map(|&n| (predictor.node_failure_probability(n, window), n))
+                .collect();
+            scored.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("not NaN").then(a.1.cmp(&b.1)));
+            candidates.push(
+                Partition::new(scored.into_iter().take(size).map(|(_, n)| n)).expect("non-empty"),
+            );
+        }
+        let pfs: Vec<f64> = candidates
+            .iter()
+            .map(|c| predictor.failure_probability(c.as_slice(), window))
+            .collect();
+        let examined = match strategy {
+            PlacementStrategy::FirstFit => 1,
+            PlacementStrategy::MinFailureProbability => pfs
+                .iter()
+                .position(|&pf| pf == 0.0)
+                .map_or(pfs.len(), |i| i + 1),
+        };
+        let mut best = 0;
+        for i in 1..examined {
+            if pfs[i] < pfs[best] {
+                best = i;
+            }
+        }
+        let choice = PlacementChoice {
+            partition: candidates.swap_remove(best),
+            failure_probability: pfs[best],
+        };
+        (Some(choice), examined)
+    }
+
+    let mut greedy_reached = 0;
+    for (case, (free_bits, size, window, failures, accuracy)) in
+        cases("placement-parity", 96, |rng| {
+            let density = rng.unit();
+            let bits: Vec<bool> = (0..64).map(|_| rng.chance(density)).collect();
+            let start = rng.uniform_u64(0, 8_000);
+            (
+                bits,
+                rng.uniform_u64(0, 12) as usize,
+                (start, start + rng.uniform_u64(1, 4_000)),
+                random_failures(rng, 60, 10_000, 64),
+                if rng.chance(0.5) { 1.0 } else { 0.5 },
+            )
+        })
+        .into_iter()
+        .enumerate()
+    {
+        let free: Vec<NodeId> = free_bits
+            .iter()
+            .enumerate()
+            .filter(|(_, &b)| b)
+            .map(|(i, _)| NodeId::new(i as u32))
+            .collect();
+        let window = TimeWindow::new(SimTime::from_secs(window.0), SimTime::from_secs(window.1));
+        let trace = Arc::new(FailureTrace::new(failures).expect("valid"));
+        let oracle = TraceOracle::new(trace, accuracy).expect("valid accuracy");
+        for topology in [
+            Topology::Flat,
+            Topology::Line,
+            Topology::Torus3d { x: 4, y: 4, z: 4 },
+        ] {
+            for strategy in [
+                PlacementStrategy::FirstFit,
+                PlacementStrategy::MinFailureProbability,
+            ] {
+                let (want, want_examined) =
+                    eager_reference(topology, &free, size, window, &oracle, strategy);
+                let telemetry = Telemetry::builder().build();
+                let got = choose_partition_with_telemetry(
+                    topology,
+                    &free,
+                    size as u32,
+                    window,
+                    &oracle,
+                    strategy,
+                    &telemetry,
+                );
+                let label = format!("case {case}: {topology} {strategy} size {size}");
+                assert_eq!(got, want, "{label}: choice diverges");
+                let examined = telemetry
+                    .snapshot()
+                    .expect("enabled")
+                    .histogram("sched.candidates_examined")
+                    .expect("recorded")
+                    .max as usize;
+                assert_eq!(examined, want_examined, "{label}: candidates examined");
+                if topology == Topology::Flat
+                    && strategy == PlacementStrategy::MinFailureProbability
+                    && want.as_ref().is_some_and(|c| c.failure_probability > 0.0)
+                {
+                    greedy_reached += 1;
+                }
+            }
+        }
+    }
+    assert!(greedy_reached > 0, "no case reached the greedy candidate");
 }
 
 /// The calibration ledger tiles exactly over randomized journals: every
