@@ -41,23 +41,14 @@
 //! sampler folds the registry into a ring of `--history-window-ms`
 //! windows served by the `history` verb and the `/history` route.
 
-use pqos_core::config::SimConfig;
-use pqos_core::session::NegotiationSession;
-use pqos_failures::synthetic::AixLikeTrace;
-use pqos_predict::api::{NullPredictor, Predictor};
-use pqos_predict::oracle::TraceOracle;
 use pqos_service::engine::EngineConfig;
 use pqos_service::server::{
     serve_core, RecordConfig, ServerConfig, DEFAULT_FLIGHT_CAPACITY, DEFAULT_HISTORY_WINDOW_MS,
 };
-use pqos_service::shard::{partition_spans, ShardedCore};
-use pqos_sim_core::time::SimDuration;
-use pqos_telemetry::reqtrace::{TraceMeta, TRACE_FORMAT_VERSION};
-use pqos_telemetry::{SloAccum, SloSink, Telemetry};
+use pqos_service::spec::{CoreSpec, JournalPlane, PredictorKind};
 use std::io::Write;
 use std::net::TcpListener;
 use std::process::ExitCode;
-use std::sync::Arc;
 use std::time::Duration;
 
 const USAGE: &str = "usage: pqos-qosd [options]
@@ -110,8 +101,7 @@ fn die(msg: &str) -> ExitCode {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut addr = String::from("127.0.0.1:0");
-    let mut cluster_size: u32 = 64;
-    let mut shards: u32 = 1;
+    let mut spec = CoreSpec::default();
     let mut journal: Option<String> = None;
     // Serving default: sample the batched-vs-serial parity re-check
     // 1-in-16. EngineConfig::default() keeps 1 (exhaustive) so tests,
@@ -121,15 +111,11 @@ fn main() -> ExitCode {
         parity_sample: 16,
         ..EngineConfig::default()
     };
-    let mut synthetic_failures = false;
-    let mut quote_horizon: Option<u64> = None;
     let mut metrics_addr: Option<String> = None;
     let mut flight_capacity: usize = DEFAULT_FLIGHT_CAPACITY;
     let mut flight_dump: Option<String> = None;
     let mut metrics_dump: Option<String> = None;
     let mut record: Option<String> = None;
-    let mut slo_specs: Vec<String> = Vec::new();
-    let mut slo_window_secs: u64 = pqos_telemetry::slo::DEFAULT_WINDOW_SECS;
     let mut history_window_ms: u64 = DEFAULT_HISTORY_WINDOW_MS;
 
     let mut it = args.iter();
@@ -143,14 +129,14 @@ fn main() -> ExitCode {
             "--addr" => value("--addr").map(|v| addr = v),
             "--cluster-size" => value("--cluster-size").and_then(|v| {
                 v.parse()
-                    .map(|n| cluster_size = n)
+                    .map(|n| spec.cluster_size = n)
                     .map_err(|_| "--cluster-size: not a node count".into())
             }),
             "--shards" => value("--shards").and_then(|v| {
                 v.parse()
                     .ok()
                     .filter(|n: &u32| *n > 0)
-                    .map(|n| shards = n)
+                    .map(|n| spec.shards = n)
                     .ok_or_else(|| "--shards: need a positive count".into())
             }),
             "--journal" => value("--journal").map(|v| journal = Some(v)),
@@ -178,7 +164,7 @@ fn main() -> ExitCode {
             }),
             "--quote-horizon-secs" => value("--quote-horizon-secs").and_then(|v| {
                 v.parse()
-                    .map(|n| quote_horizon = Some(n))
+                    .map(|n| spec.quote_horizon_secs = Some(n))
                     .map_err(|_| "--quote-horizon-secs: not a duration".into())
             }),
             "--metrics-addr" => value("--metrics-addr").map(|v| metrics_addr = Some(v)),
@@ -196,14 +182,14 @@ fn main() -> ExitCode {
             "--record" => value("--record").map(|v| record = Some(v)),
             "--slo" => value("--slo").and_then(|v| {
                 pqos_telemetry::slo::parse_rule(&v)
-                    .map(|_| slo_specs.push(v))
+                    .map(|_| spec.slo.push(v))
                     .map_err(|e| format!("--slo: {e}"))
             }),
             "--slo-window-secs" => value("--slo-window-secs").and_then(|v| {
                 v.parse()
                     .ok()
                     .filter(|n: &u64| *n > 0)
-                    .map(|n| slo_window_secs = n)
+                    .map(|n| spec.slo_window_secs = n)
                     .ok_or_else(|| "--slo-window-secs: need a positive duration".into())
             }),
             "--history-window-ms" => value("--history-window-ms").and_then(|v| {
@@ -212,7 +198,7 @@ fn main() -> ExitCode {
                     .map_err(|_| "--history-window-ms: not a duration".into())
             }),
             "--no-verify-parity" => {
-                engine.verify_parity = false;
+                spec.verify_parity = false;
                 Ok(())
             }
             "--parity-sample" => value("--parity-sample").and_then(|v| {
@@ -223,7 +209,7 @@ fn main() -> ExitCode {
                     .ok_or_else(|| "--parity-sample: need a positive count".into())
             }),
             "--synthetic-failures" => {
-                synthetic_failures = true;
+                spec.predictor = PredictorKind::SyntheticAix;
                 Ok(())
             }
             "-h" | "--help" => {
@@ -236,132 +222,55 @@ fn main() -> ExitCode {
             return die(&msg);
         }
     }
-    if cluster_size == 0 {
-        return die("--cluster-size: need at least one node");
-    }
-    if shards > cluster_size {
-        return die("--shards: cannot exceed --cluster-size");
+    if let Err(e) = spec.validate() {
+        return die(&e);
     }
 
-    // The SLO plane: one accumulator shared by every journal plane's
-    // event sink and drained by the engine's per-tick evaluator. Rules
-    // were validated during flag parsing, so re-parsing cannot fail.
-    let slo_accum = (!slo_specs.is_empty()).then(|| Arc::new(SloAccum::new(slo_window_secs)));
-    engine.slo_rules = slo_specs
-        .iter()
-        .map(|s| pqos_telemetry::slo::parse_rule(s).expect("validated at flag parse"))
-        .collect();
-    engine.slo_accum = slo_accum.clone();
-
-    // One predictor per engine plane. Shard K predicts over its own
-    // node span from a seed derived from its index, so shard planes
-    // stay deterministic and distinguishable; replay rebuilds the same
-    // predictors from the trace header. The wide-job coordinator (and
-    // the single plane) predicts over the full cluster.
-    let make_predictor = |seed: u64, nodes: u32| -> Box<dyn Predictor + Send + Sync> {
-        if synthetic_failures {
-            let trace = Arc::new(
-                AixLikeTrace::new()
-                    .days(365.0)
-                    .seed(seed)
-                    .nodes(nodes)
-                    .build(),
-            );
-            Box::new(TraceOracle::new(trace, 0.9).expect("accuracy in range"))
-        } else {
-            Box::new(NullPredictor)
-        }
+    // Telemetry is always enabled: the /metrics endpoint and the stage
+    // histograms need a live registry even when no journal is written.
+    // Shard K journals to PATH.shardK and the coordinator to PATH.wide.
+    let plane_path = |plane: JournalPlane| {
+        journal.as_ref().map(|path| match plane {
+            JournalPlane::Whole => path.clone(),
+            JournalPlane::Shard(k) => format!("{path}.shard{k}"),
+            JournalPlane::Wide => format!("{path}.wide"),
+        })
     };
-    let open_journal = |path: Option<&str>| -> Result<Telemetry, ExitCode> {
-        // Telemetry is always enabled: the /metrics endpoint and the
-        // stage histograms need a live registry even when no journal is
-        // written. Without a journal or SLO rules there are no event
-        // sinks, so emits stay cheap.
-        let mut builder = match path {
-            None => Telemetry::builder(),
-            Some(path) => match Telemetry::builder().flush_every(1024).jsonl_path(path) {
-                Ok(builder) => builder,
-                Err(e) => {
-                    eprintln!("pqos-qosd: cannot open journal {path}: {e}");
-                    return Err(ExitCode::from(2));
-                }
-            },
+    let built = spec.build(|plane, builder| {
+        let telemetry = match plane_path(plane) {
+            None => builder.build(),
+            Some(path) => builder
+                .flush_every(1024)
+                .jsonl_path(&path)
+                .map_err(|e| format!("cannot open journal {path}: {e}"))?
+                .build(),
         };
-        if let Some(accum) = &slo_accum {
-            builder = builder.sink(Box::new(SloSink(Arc::clone(accum))));
-        }
-        let telemetry = builder.build();
         // Flush the journal before unwinding on any panic: an incident
         // capture that stops mid-event cannot be replayed or trusted.
         pqos_telemetry::panichook::flush_on_panic(&telemetry);
-        Ok(telemetry)
-    };
-    let make_session = |nodes: u32, base: u32, seed: u64, telemetry: Telemetry| {
-        let config = SimConfig::paper_defaults().cluster_size_nodes(nodes);
-        NegotiationSession::new(config, make_predictor(seed, nodes), telemetry)
-            .verify_parity(engine.verify_parity)
-            .node_base(u64::from(base))
-    };
-    let shard_journals: Vec<(u32, Option<String>)> = partition_spans(cluster_size, shards)
-        .iter()
-        .enumerate()
-        .map(|(k, span)| {
-            (
-                span.width,
-                journal
-                    .as_ref()
-                    .filter(|_| shards > 1)
-                    .map(|p| format!("{p}.shard{k}")),
-            )
-        })
-        .collect();
-    let core = if shards == 1 {
-        let telemetry = match open_journal(journal.as_deref()) {
-            Ok(t) => t,
-            Err(code) => return code,
-        };
-        ShardedCore::single(make_session(cluster_size, 0, 0xD5_2005, telemetry))
-    } else {
-        let mut sessions = Vec::with_capacity(shards as usize);
-        let mut base = 0u32;
-        for (k, (width, path)) in shard_journals.iter().enumerate() {
-            let telemetry = match open_journal(path.as_deref()) {
-                Ok(t) => t,
-                Err(code) => return code,
-            };
-            sessions.push(make_session(*width, base, 0xD5_2005 ^ k as u64, telemetry));
-            base += width;
+        Ok::<_, String>(telemetry)
+    });
+    let (core, slo) = match built {
+        Ok(built) => built,
+        Err(msg) => {
+            eprintln!("pqos-qosd: {msg}");
+            return ExitCode::from(2);
         }
-        let wide_path = journal.as_ref().map(|p| format!("{p}.wide"));
-        let coordinator = match open_journal(wide_path.as_deref()) {
-            Ok(t) => t,
-            Err(code) => return code,
-        };
-        let core = ShardedCore::sharded(
-            sessions,
-            make_predictor(0xD5_2005, cluster_size),
-            coordinator,
-            Telemetry::builder().build(),
-        );
-        // Even a panicking daemon leaves the merged journal behind: the
-        // per-telemetry flush hooks above run first, then this stitches
-        // the flushed shard files together.
-        if let Some(path) = &journal {
-            let merge_into = path.clone();
-            let parts = shard_part_paths(path, shards);
-            pqos_telemetry::panichook::on_panic(move || {
-                let _ = merge_journal_files(&merge_into, &parts);
-            });
-        }
-        core
     };
-    // On the core, not per session: the wide-job coordinator must refuse
-    // past-horizon starts exactly like every shard does, or a sharded
-    // record→replay stops being byte-identical.
-    let core = match quote_horizon {
-        Some(secs) => core.quote_horizon(SimDuration::from_secs(secs)),
-        None => core,
-    };
+    engine.slo = slo;
+    // A sharded journal is stitched together from its plane files when
+    // the daemon drains — and even when it panics: the per-plane flush
+    // hooks above run first, then this merges the flushed files.
+    let merge = journal.as_ref().filter(|_| spec.shards > 1).map(|path| {
+        let parts: Vec<String> = spec.planes().into_iter().filter_map(plane_path).collect();
+        (path.clone(), parts)
+    });
+    if let Some((path, parts)) = merge.clone() {
+        let spec = spec.clone();
+        pqos_telemetry::panichook::on_panic(move || {
+            let _ = merge_journal_files(&spec, &path, &parts);
+        });
+    }
 
     let listener = match TcpListener::bind(&addr) {
         Ok(l) => l,
@@ -404,22 +313,7 @@ fn main() -> ExitCode {
     }
     let record = record.map(|path| RecordConfig {
         path: path.into(),
-        meta: TraceMeta {
-            version: TRACE_FORMAT_VERSION,
-            source: "qosd".into(),
-            cluster_size,
-            time_scale: engine.time_scale,
-            batch_threads: engine.batch_threads as u64,
-            quote_horizon_secs: quote_horizon,
-            predictor: if synthetic_failures {
-                "synthetic-aix".into()
-            } else {
-                "null".into()
-            },
-            shards: u64::from(shards),
-            slo: slo_specs.clone(),
-            slo_window_secs,
-        },
+        meta: spec.trace_meta(&engine),
     });
     let config = ServerConfig {
         engine,
@@ -431,12 +325,10 @@ fn main() -> ExitCode {
         history_window_ms,
     };
     let served = serve_core(listener, core, config);
-    if shards > 1 {
-        if let Some(path) = &journal {
-            if let Err(e) = merge_journal_files(path, &shard_part_paths(path, shards)) {
-                eprintln!("pqos-qosd: cannot merge shard journals into {path}: {e}");
-                return ExitCode::FAILURE;
-            }
+    if let Some((path, parts)) = &merge {
+        if let Err(e) = merge_journal_files(&spec, path, parts) {
+            eprintln!("pqos-qosd: cannot merge shard journals into {path}: {e}");
+            return ExitCode::FAILURE;
         }
     }
     match served {
@@ -448,18 +340,10 @@ fn main() -> ExitCode {
     }
 }
 
-/// The per-plane journal files behind `path`: one per shard plus the
-/// wide-job coordinator's.
-fn shard_part_paths(path: &str, shards: u32) -> Vec<String> {
-    let mut parts: Vec<String> = (0..shards).map(|k| format!("{path}.shard{k}")).collect();
-    parts.push(format!("{path}.wide"));
-    parts
-}
-
-/// Stitches the per-shard journals into one doctor-clean stream at
+/// Stitches the per-plane journals into one doctor-clean stream at
 /// `path`. Missing part files are skipped (a shard that never journaled
 /// an event writes nothing).
-fn merge_journal_files(path: &str, parts: &[String]) -> std::io::Result<()> {
+fn merge_journal_files(spec: &CoreSpec, path: &str, parts: &[String]) -> std::io::Result<()> {
     let mut texts = Vec::new();
     for part in parts {
         match std::fs::read_to_string(part) {
@@ -469,5 +353,5 @@ fn merge_journal_files(path: &str, parts: &[String]) -> std::io::Result<()> {
         }
     }
     let refs: Vec<&str> = texts.iter().map(String::as_str).collect();
-    std::fs::write(path, pqos_telemetry::merge::merge_journals_to_string(&refs))
+    std::fs::write(path, spec.merge_journals(&refs))
 }

@@ -11,17 +11,15 @@
 //! The engine loop blocks on the queue, then drains everything already
 //! waiting into one *tick*. Within a tick it:
 //!
-//! 1. advances virtual time (wall-clock elapsed × `time_scale`), firing
-//!    due job starts/completions into the journal;
-//! 2. expires requests that waited past their deadline (`timeout`);
-//! 3. coalesces every `negotiate` into one
-//!    [`negotiate_batch`](pqos_core::negotiate::negotiate_batch) call
-//!    fanned across threads — quoting is read-only over the book, so the
-//!    batch is exactly what serial calls against the same snapshot would
-//!    produce (re-checked live when [`EngineConfig::verify_parity`] is
-//!    on);
-//! 4. applies accepts/cancels/status in arrival order;
-//! 5. on `shutdown`, drains the queue with `shutting_down` replies,
+//! 1. expires requests that waited past their deadline (`timeout`);
+//! 2. assigns each `negotiate` the next job id;
+//! 3. runs `tick::step` at virtual time wall-clock elapsed ×
+//!    `time_scale`: advance time, drain the SLO plane, quote every
+//!    negotiate in one batch fanned across threads, then apply
+//!    accepts/cancels/queries in arrival order. Replay runs the same
+//!    `step` over recorded epochs, which is why a recorded run replays
+//!    to the same journal byte for byte;
+//! 4. on `shutdown`, drains the queue with `shutting_down` replies,
 //!    flushes the journal, and exits.
 //!
 //! There is no fixed tick interval: an idle engine wakes per request, a
@@ -33,11 +31,11 @@ use crate::flight::{FlightRecorder, TraceCtx};
 use crate::protocol::{ErrorCode, Request, Response, StatusBody};
 use crate::record::TraceRecorder;
 use crate::shard::ShardedCore;
-use pqos_core::session::{AcceptError, CancelError, NegotiationSession, QuoteDecision};
-use pqos_core::session::{AdmissionRequest, SessionStatus};
+use crate::spec::SloPlane;
+use crate::tick::{self, Answer};
+use pqos_core::session::{NegotiationSession, SessionStatus};
 use pqos_predict::api::Predictor;
-use pqos_sim_core::time::{SimDuration, SimTime};
-use pqos_telemetry::{SinkHealth, SloAccum, SloEngine, SloRule, Telemetry, WindowStore};
+use pqos_telemetry::{SinkHealth, SloEngine, Telemetry, WindowStore};
 use pqos_workload::job::JobId;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender, SyncSender, TrySendError};
@@ -127,24 +125,17 @@ pub struct EngineConfig {
     pub request_timeout: Duration,
     /// Most requests coalesced into one tick.
     pub max_batch: usize,
-    /// Re-check every batched quote against a serial negotiation and
-    /// count disagreements (surfaced via `status`).
-    pub verify_parity: bool,
     /// Re-check only every Nth tick's batch (deterministic 1-in-N
     /// sampling; 1 = every batch). Tests, CI and replay keep the
     /// default of 1 so parity stays exhaustive where it matters;
     /// release serving dials it up to keep the re-check off the hot
     /// path (`pqos-qosd --parity-sample`).
     pub parity_sample: u64,
-    /// Declarative SLO rules evaluated over virtual-time windows at each
-    /// tick; fire/resolve transitions are journaled as `slo_alert`
-    /// events. Only meaningful together with [`EngineConfig::slo_accum`].
-    pub slo_rules: Vec<SloRule>,
-    /// The window accumulator the SLO evaluator drains. The caller
-    /// attaches a [`pqos_telemetry::SloSink`] over this same accumulator
-    /// to every journal plane, so window counts fill as events are
-    /// journaled; `None` disables SLO evaluation entirely.
-    pub slo_accum: Option<Arc<SloAccum>>,
+    /// The SLO plane [`CoreSpec::build`](crate::spec::CoreSpec::build)
+    /// made alongside the core, evaluated at each tick; fire/resolve
+    /// transitions are journaled as `slo_alert` events. `None` disables
+    /// SLO evaluation.
+    pub slo: Option<SloPlane>,
     /// Wall-clock windowed health history served by the `history` verb
     /// (sampled by the server's history thread, not by the engine).
     /// `None` answers `history` with an empty document.
@@ -159,10 +150,8 @@ impl Default for EngineConfig {
             time_scale: 1.0,
             request_timeout: Duration::from_secs(5),
             max_batch: 256,
-            verify_parity: true,
             parity_sample: 1,
-            slo_rules: Vec::new(),
-            slo_accum: None,
+            slo: None,
             history: None,
         }
     }
@@ -342,7 +331,7 @@ where
 
 fn run<P: Predictor + Sync>(
     mut core: ShardedCore<P>,
-    config: EngineConfig,
+    mut config: EngineConfig,
     rx: Receiver<EngineRequest>,
     shared: Arc<EngineShared>,
     recorder: FlightRecorder,
@@ -384,14 +373,9 @@ fn run<P: Predictor + Sync>(
         promise_residual_gauge.set(p.worst_residual_milli);
     };
     // The SLO plane: per-window counts accumulate via SloSinks on the
-    // journal planes; the evaluator drains closed windows once per tick,
-    // right after virtual time advances — the same point replay drains
-    // at, which is what makes the journaled alerts byte-reproducible.
-    let mut slo: Option<(Arc<SloAccum>, SloEngine)> = config
-        .slo_accum
-        .as_ref()
-        .filter(|_| !config.slo_rules.is_empty())
-        .map(|accum| (Arc::clone(accum), SloEngine::new(config.slo_rules.clone())));
+    // journal planes; `tick::step` drains closed windows once per tick,
+    // right after virtual time advances.
+    let mut slo = config.slo.take();
     let slo_rules_gauge = telemetry.gauge("slo.rules");
     let slo_active_gauge = telemetry.gauge("slo.active_alerts");
     let slo_fired_gauge = telemetry.gauge("slo.alerts_fired_total");
@@ -411,8 +395,8 @@ fn run<P: Predictor + Sync>(
                 .set(i64::from(firing.contains(&rule.name.as_str())));
         }
     };
-    if let Some((_, engine)) = slo.as_ref() {
-        set_slo_gauges(engine);
+    if let Some(plane) = slo.as_ref() {
+        set_slo_gauges(plane.evaluator());
     }
     let epoch = shared.epoch;
     let mut next_job: u64 = 1;
@@ -448,16 +432,12 @@ fn run<P: Predictor + Sync>(
             }
         }
         let virtual_now = (epoch.elapsed().as_secs_f64() * config.time_scale) as u64;
-        core.advance_to(SimTime::from_secs(virtual_now));
         epoch_no += 1;
-        if let Some((accum, slo_engine)) = slo.as_mut() {
-            for alert in slo_engine.drain(accum, virtual_now) {
-                core.alert_telemetry().emit(|| alert.clone());
-            }
-            set_slo_gauges(slo_engine);
-        }
 
-        let mut live = Vec::with_capacity(tick.len());
+        // The tick's requests, each with the job id a negotiate runs
+        // under, and beside them where each answer goes.
+        let mut ops = Vec::with_capacity(tick.len());
+        let mut lanes = Vec::with_capacity(tick.len());
         for mut item in tick {
             if item.enqueued.elapsed() > config.request_timeout {
                 timeouts.inc();
@@ -477,136 +457,65 @@ fn run<P: Predictor + Sync>(
                     None,
                 );
                 respond(&item.reply, response, item.trace.take());
-            } else {
-                live.push(item);
+                continue;
             }
+            let job = matches!(item.request, Request::Negotiate { .. }).then(|| {
+                next_job += 1;
+                JobId::new(next_job - 1)
+            });
+            ops.push((item.request, job));
+            lanes.push((item.reply, item.trace, item.conn));
+        }
+        let quotes = ops.iter().filter(|(_, job)| job.is_some()).count();
+        if quotes > 0 {
+            batch_size.observe(quotes as f64);
         }
 
-        // Pass 1: coalesce every negotiate into one batched quote call
-        // against this tick's book snapshot.
-        let quote_idx: Vec<usize> = live
-            .iter()
-            .enumerate()
-            .filter(|(_, i)| matches!(i.request, Request::Negotiate { .. }))
-            .map(|(k, _)| k)
-            .collect();
-        if !quote_idx.is_empty() {
-            batch_size.observe(quote_idx.len() as f64);
-            let batch: Vec<(JobId, AdmissionRequest)> = quote_idx
-                .iter()
-                .map(|&k| {
-                    let Request::Negotiate {
-                        size, runtime_secs, ..
-                    } = live[k].request
-                    else {
-                        unreachable!("filtered above");
-                    };
-                    let id = JobId::new(next_job);
-                    next_job += 1;
-                    (
-                        id,
-                        AdmissionRequest {
-                            size,
-                            runtime: SimDuration::from_secs(runtime_secs),
-                        },
-                    )
-                })
-                .collect();
-            for &k in &quote_idx {
-                if let Some(t) = live[k].trace.as_mut() {
-                    t.mark("batch");
-                }
-            }
-            let decisions = core.quote_batch(&batch, config.batch_threads);
-            for ((&k, (job, _)), decision) in quote_idx.iter().zip(&batch).zip(decisions) {
-                let item = &mut live[k];
-                let response = quote_response(item.request.id(), job.as_u64(), decision);
-                if let Some(t) = item.trace.as_mut() {
+        let shutdown = tick::step(
+            core,
+            slo.as_mut(),
+            virtual_now,
+            &ops,
+            config.batch_threads,
+            |core, i, answer| {
+                let (request, job) = &ops[i];
+                let (reply, trace, conn) = &mut lanes[i];
+                let response = match answer {
+                    Answer::Batching => {
+                        if let Some(t) = trace.as_mut() {
+                            t.mark("batch");
+                        }
+                        return;
+                    }
+                    Answer::Response(response) => response,
+                    Answer::Query => {
+                        query_response(request, core, &shared, &recorder, config.history.as_deref())
+                    }
+                };
+                if matches!(request, Request::Shutdown { .. }) {
+                    shared.draining.store(true, Ordering::Release);
+                } else if let Some(t) = trace.as_mut() {
                     t.mark("compute");
                 }
-                // Rejected negotiates carry their job id too: they
-                // consumed one, and replay must consume it identically.
-                trace_rec.record(
-                    epoch_no,
-                    virtual_now,
-                    item.conn,
-                    &item.request,
-                    &response,
-                    Some(job.as_u64()),
-                );
-                respond(&item.reply, response, item.trace.take());
-            }
+                let job = job.map(JobId::as_u64);
+                trace_rec.record(epoch_no, virtual_now, *conn, request, &response, job);
+                respond(reply, response, trace.take());
+            },
+        );
+        if let Some(plane) = slo.as_ref() {
+            set_slo_gauges(plane.evaluator());
         }
-
-        // Pass 2: mutations and queries in arrival order.
-        for item in live.iter_mut() {
-            let id = item.request.id();
-            let response = match item.request {
-                Request::Negotiate { .. } => continue, // answered in pass 1
-                Request::Accept { job, .. } => accept_response(core, id, job),
-                Request::Cancel { job, .. } => cancel_response(core, id, job),
-                Request::Status { .. } => Response::Status {
-                    id,
-                    body: status_body(
-                        &core.status(),
-                        &shared,
-                        core.live_jobs() as u64,
-                        core.sink_health(),
-                        core.shard_count() as u64,
-                        core.routed_last().to_vec(),
-                    ),
-                },
-                Request::Dump { .. } => Response::Dump {
-                    id,
-                    trace: recorder.dump_chrome(),
-                },
-                Request::History { .. } => Response::History {
-                    id,
-                    history: match config.history.as_ref() {
-                        Some(store) => store.to_json(),
-                        None => concat!(
-                            r#"{"history":true,"window_ms":0,"#,
-                            r#""windows":0,"families":[]}"#
-                        )
-                        .to_string(),
-                    },
-                },
-                Request::Shutdown { .. } => {
-                    shared.draining.store(true, Ordering::Release);
-                    let response = Response::Ok { id };
-                    trace_rec.record(
-                        epoch_no,
-                        virtual_now,
-                        item.conn,
-                        &item.request,
-                        &response,
-                        None,
-                    );
-                    respond(&item.reply, response, item.trace.take());
-                    while let Ok(mut stale) = rx.try_recv() {
-                        pop(&mut stale);
-                        let refusal = Response::Error {
-                            id: stale.request.id(),
-                            code: ErrorCode::ShuttingDown,
-                            detail: "daemon is draining".into(),
-                        };
-                        respond(&stale.reply, refusal, stale.trace.take());
-                    }
-                    break 'serve;
-                }
-            };
-            if let Some(t) = item.trace.as_mut() {
-                t.mark("compute");
+        if shutdown {
+            while let Ok(mut stale) = rx.try_recv() {
+                pop(&mut stale);
+                let refusal = Response::Error {
+                    id: stale.request.id(),
+                    code: ErrorCode::ShuttingDown,
+                    detail: "daemon is draining".into(),
+                };
+                respond(&stale.reply, refusal, stale.trace.take());
             }
-            trace_rec.record(
-                epoch_no,
-                virtual_now,
-                item.conn,
-                &item.request,
-                &response,
-                None,
-            );
-            respond(&item.reply, response, item.trace.take());
+            break 'serve;
         }
         ticks.inc();
         tick_timer.stop();
@@ -632,12 +541,48 @@ fn run<P: Predictor + Sync>(
     // extra SLO drain happens here: windows close only at recorded tick
     // times, so replay closes exactly the same set.
     set_promise_gauges(core.promise_stats());
-    if let Some((_, slo_engine)) = slo.as_ref() {
-        set_slo_gauges(slo_engine);
-    }
     set_shard_gauges(&telemetry, core);
     core.flush();
     trace_rec.flush();
+}
+
+/// Answers a `status`, `dump` or `history` query from engine state.
+fn query_response<P: Predictor + Sync>(
+    request: &Request,
+    core: &ShardedCore<P>,
+    shared: &EngineShared,
+    recorder: &FlightRecorder,
+    history: Option<&WindowStore>,
+) -> Response {
+    let id = request.id();
+    match request {
+        Request::Dump { .. } => Response::Dump {
+            id,
+            trace: recorder.dump_chrome(),
+        },
+        Request::History { .. } => Response::History {
+            id,
+            history: match history {
+                Some(store) => store.to_json(),
+                None => concat!(
+                    r#"{"history":true,"window_ms":0,"#,
+                    r#""windows":0,"families":[]}"#
+                )
+                .to_string(),
+            },
+        },
+        _ => Response::Status {
+            id,
+            body: status_body(
+                &core.status(),
+                shared,
+                core.live_jobs() as u64,
+                core.sink_health(),
+                core.shard_count() as u64,
+                core.routed_last().to_vec(),
+            ),
+        },
+    }
 }
 
 /// Replies are best-effort: a gone client (dropped receiver) is a clean
@@ -649,68 +594,6 @@ fn respond(reply: &ReplySender, response: Response, trace: Option<TraceCtx>) {
         // so drop it from the in-flight table instead of leaking it.
         t.abandon();
     }
-}
-
-// The outcome→response mappings below are shared with `crate::replay`:
-// replay must render a session outcome to the exact bytes the live
-// engine would have sent, or response parity would diverge spuriously.
-
-pub(crate) fn quote_response(id: u64, job: u64, decision: QuoteDecision) -> Response {
-    match decision {
-        QuoteDecision::Quoted(held) => Response::Quote {
-            id,
-            job,
-            start_secs: held.quote.start.as_secs(),
-            promised_secs: held.quote.deadline.as_secs(),
-            deadline_secs: held.deadline.as_secs(),
-            success_probability: held.quote.promised_success(),
-            satisfied_threshold: held.satisfied_threshold,
-        },
-        QuoteDecision::Rejected => Response::Error {
-            id,
-            code: ErrorCode::Rejected,
-            detail: "job cannot fit the cluster".into(),
-        },
-    }
-}
-
-pub(crate) fn accept_outcome_response(
-    id: u64,
-    outcome: &Result<pqos_core::session::HeldQuote, AcceptError>,
-) -> Response {
-    match outcome {
-        Ok(_) => Response::Ok { id },
-        Err(e) => Response::Error {
-            id,
-            code: match e {
-                AcceptError::UnknownQuote => ErrorCode::UnknownQuote,
-                AcceptError::QuoteExpired => ErrorCode::QuoteExpired,
-            },
-            detail: e.to_string(),
-        },
-    }
-}
-
-pub(crate) fn cancel_outcome_response(id: u64, outcome: &Result<(), CancelError>) -> Response {
-    match outcome {
-        Ok(()) => Response::Ok { id },
-        Err(e) => Response::Error {
-            id,
-            code: match e {
-                CancelError::UnknownJob => ErrorCode::UnknownJob,
-                CancelError::AlreadyStarted => ErrorCode::AlreadyStarted,
-            },
-            detail: e.to_string(),
-        },
-    }
-}
-
-fn accept_response<P: Predictor + Sync>(core: &mut ShardedCore<P>, id: u64, job: u64) -> Response {
-    accept_outcome_response(id, &core.accept(JobId::new(job)))
-}
-
-fn cancel_response<P: Predictor + Sync>(core: &mut ShardedCore<P>, id: u64, job: u64) -> Response {
-    cancel_outcome_response(id, &core.cancel(JobId::new(job)))
 }
 
 /// Publishes per-shard gauges (`shard="k"` labels on the engine, queue
@@ -826,7 +709,7 @@ mod tests {
             NullPredictor,
             Telemetry::disabled(),
         )
-        .verify_parity(config.verify_parity);
+        .verify_parity(true);
         spawn(
             session,
             config,

@@ -24,8 +24,8 @@
 //!    fanned out across threads against a single book snapshot. Quoting is
 //!    read-only, so batched quotes are *identical* to serial ones — a
 //!    guarantee the engine can re-check at runtime
-//!    ([`EngineConfig::verify_parity`](engine::EngineConfig)) and the
-//!    property suite checks offline.
+//!    ([`CoreSpec::verify_parity`](spec::CoreSpec)) and the property
+//!    suite checks offline.
 //! 3. **JSON-lines protocol.** One request object per line, one response
 //!    per request, correlated by caller-chosen `id` so clients can
 //!    pipeline. Malformed input gets a `bad_request` response, never a
@@ -58,7 +58,9 @@ pub mod replay;
 pub mod scrape;
 pub mod server;
 pub mod shard;
+pub mod spec;
 pub mod sweep;
+pub(crate) mod tick;
 
 pub use engine::{EngineConfig, EngineHandle};
 pub use flight::{FlightRecorder, TraceCtx};
@@ -68,3 +70,4 @@ pub use record::{SharedBuf, TraceRecorder};
 pub use replay::{replay, ReplayOptions, ReplayReport};
 pub use server::{serve, RecordConfig, ServerConfig};
 pub use shard::{partition_spans, MergedAvailabilityView, ShardSpan, ShardedCore};
+pub use spec::CoreSpec;

@@ -1,40 +1,36 @@
 //! Deterministic re-execution of recorded request traces.
 //!
 //! [`replay`] feeds a trace captured by the daemon's `--record` flag back
-//! through the *real* [`NegotiationSession`] code path — no sockets, no
-//! wall clock. Virtual time comes from the recorded per-epoch ticks,
-//! batching comes from the recorded epoch grouping, and job ids come from
-//! the recorded engine assignments, so the replayed session makes exactly
-//! the decisions the live engine made and emits a byte-identical journal.
+//! through the *real* engine tick — no sockets, no wall clock. The core
+//! comes from [`CoreSpec::from_meta`] and [`CoreSpec::build`], the same
+//! construction path `pqos-qosd` takes; each recorded epoch then runs
+//! through `tick::step`, the same tick the engine thread runs, with the
+//! recorded tick time, batching and job ids. The replayed core therefore
+//! makes exactly the decisions the live engine made and emits a
+//! byte-identical journal. What is left here is reading entries,
+//! honouring recorded timeouts and comparing responses.
 //!
 //! # Determinism contract
 //!
 //! Replay checks *response parity* for the deterministic verbs —
 //! `negotiate`, `accept`, `cancel`, `shutdown` — whose responses are pure
-//! functions of session state. `status` and `dump` responses carry
-//! wall-clock fields (uptime, queue depth, flight-recorder contents) and
-//! are skipped (counted in
+//! functions of session state. `status`, `dump` and `history` responses
+//! carry wall-clock fields (uptime, queue depth, flight-recorder
+//! contents, sampled history) and are skipped (counted in
 //! [`ReplayReport::skipped_nondeterministic`]). Queue-timeout refusals
 //! never reached the session when recorded, so replay honors them by
 //! skipping the entry. Journal equality is checked by the caller against
 //! the recorded journal ([`ReplayReport::journal`] holds the replayed
 //! one).
 
-use crate::engine;
 use crate::protocol::{ErrorCode, Request, Response};
 use crate::record::SharedBuf;
-use crate::shard::{partition_spans, ShardedCore};
-use pqos_core::config::SimConfig;
-use pqos_core::session::{AdmissionRequest, NegotiationSession, SessionOp, SessionOpOutcome};
-use pqos_failures::synthetic::AixLikeTrace;
-use pqos_predict::api::{NullPredictor, Predictor};
-use pqos_predict::oracle::TraceOracle;
-use pqos_sim_core::time::{SimDuration, SimTime};
+use crate::spec::CoreSpec;
+use crate::tick::{self, Answer};
 use pqos_telemetry::reqtrace::{RequestTrace, TraceEntry};
-use pqos_telemetry::{SloAccum, SloEngine, SloSink, Telemetry};
 use pqos_workload::job::JobId;
+use std::convert::Infallible;
 use std::fmt;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Tuning for one replay run.
@@ -105,7 +101,7 @@ pub struct ReplayReport {
     pub parity_checked: usize,
     /// The comparisons that diverged.
     pub mismatches: Vec<ParityMismatch>,
-    /// `status`/`dump` entries skipped (wall-clock responses).
+    /// `status`/`dump`/`history` entries skipped (wall-clock responses).
     pub skipped_nondeterministic: usize,
     /// Recorded queue-timeout refusals honored by skipping.
     pub timeouts_honored: usize,
@@ -133,7 +129,7 @@ impl ReplayReport {
 #[derive(Debug, Clone, PartialEq)]
 pub enum ReplayError {
     /// The trace as a whole is not replayable (wrong source, unknown
-    /// predictor).
+    /// predictor, a shard count that does not fit the cluster).
     Unsupported(String),
     /// One entry is malformed beyond what the schema validator can see
     /// (unparseable request/response payload, negotiate without a job).
@@ -180,117 +176,14 @@ pub fn replay_with(
             meta.source
         )));
     }
-    // Mirrors pqos-qosd's predictor construction exactly: same seeds,
-    // same traces, same oracle accuracy — per shard and for the wide-job
-    // coordinator.
-    let make_predictor =
-        |seed: u64, nodes: u32| -> Result<Box<dyn Predictor + Send + Sync>, ReplayError> {
-            match meta.predictor.as_str() {
-                "null" => Ok(Box::new(NullPredictor)),
-                "synthetic-aix" => {
-                    let failure_trace = Arc::new(
-                        AixLikeTrace::new()
-                            .days(365.0)
-                            .seed(seed)
-                            .nodes(nodes)
-                            .build(),
-                    );
-                    Ok(Box::new(
-                        TraceOracle::new(failure_trace, 0.9).expect("accuracy in range"),
-                    ))
-                }
-                other => Err(ReplayError::Unsupported(format!(
-                    "unknown predictor {other:?} (this build knows \"null\" and \"synthetic-aix\")"
-                ))),
-            }
-        };
-    // The SLO plane: rebuild the daemon's evaluator from the recorded
-    // rule specs, attach the same window accumulator to every journal
-    // plane, and drain at the same point the engine does (right after
-    // each epoch's AdvanceTo) — the journaled alert lines then replay
-    // byte-identically.
-    let mut slo_rules = Vec::new();
-    for spec in &meta.slo {
-        slo_rules.push(pqos_telemetry::slo::parse_rule(spec).map_err(|e| {
-            ReplayError::Unsupported(format!("bad SLO rule {spec:?} in trace header: {e}"))
-        })?);
-    }
-    let slo_accum = if slo_rules.is_empty() {
-        None
-    } else {
-        Some(Arc::new(SloAccum::new(meta.slo_window_secs)))
-    };
-    let mut slo_engine = slo_accum.as_ref().map(|_| SloEngine::new(slo_rules));
-    let shards = meta.shards.max(1) as u32;
-    if shards > meta.cluster_size {
-        return Err(ReplayError::Unsupported(format!(
-            "trace claims {shards} shards over {} nodes — a shard must own at least one node",
-            meta.cluster_size
-        )));
-    }
-    let make_session = |nodes: u32,
-                        base: u32,
-                        seed: u64|
-     -> Result<
-        (
-            NegotiationSession<Box<dyn Predictor + Send + Sync>>,
-            SharedBuf,
-        ),
-        ReplayError,
-    > {
+    let spec = CoreSpec::from_meta(meta)?;
+    // One in-memory journal per plane, in merge order.
+    let mut journals: Vec<SharedBuf> = Vec::new();
+    let Ok((mut core, mut slo)) = spec.build(|_, builder| {
         let buf = SharedBuf::new();
-        let mut builder = Telemetry::builder()
-            .flush_every(0)
-            .jsonl_writer(buf.clone());
-        if let Some(accum) = &slo_accum {
-            builder = builder.sink(Box::new(SloSink(Arc::clone(accum))));
-        }
-        let telemetry = builder.build();
-        let session = NegotiationSession::new(
-            SimConfig::paper_defaults().cluster_size_nodes(nodes),
-            make_predictor(seed, nodes)?,
-            telemetry,
-        )
-        .verify_parity(false)
-        .node_base(u64::from(base));
-        Ok((session, buf))
-    };
-    // Per-plane journal buffers, in the same order qosd merges its
-    // per-plane journal files (shard 0..N-1, then the coordinator).
-    let mut journal_bufs: Vec<SharedBuf> = Vec::new();
-    let mut core = if shards == 1 {
-        let (session, buf) = make_session(meta.cluster_size, 0, 0xD5_2005)?;
-        journal_bufs.push(buf);
-        ShardedCore::single(session)
-    } else {
-        let mut sessions = Vec::with_capacity(shards as usize);
-        for (k, span) in partition_spans(meta.cluster_size, shards)
-            .iter()
-            .enumerate()
-        {
-            let (session, buf) = make_session(span.width, span.base, 0xD5_2005 ^ k as u64)?;
-            journal_bufs.push(buf);
-            sessions.push(session);
-        }
-        let wide_buf = SharedBuf::new();
-        let mut builder = Telemetry::builder()
-            .flush_every(0)
-            .jsonl_writer(wide_buf.clone());
-        if let Some(accum) = &slo_accum {
-            builder = builder.sink(Box::new(SloSink(Arc::clone(accum))));
-        }
-        let coordinator = builder.build();
-        journal_bufs.push(wide_buf);
-        ShardedCore::sharded(
-            sessions,
-            make_predictor(0xD5_2005, meta.cluster_size)?,
-            coordinator,
-            Telemetry::disabled(),
-        )
-    };
-    if let Some(secs) = meta.quote_horizon_secs {
-        core = core.quote_horizon(SimDuration::from_secs(secs));
-    }
+        journals.push(buf.clone());
+        Ok::<_, Infallible>(builder.flush_every(0).jsonl_writer(buf).build())
+    });
     let threads = if opts.threads > 0 {
         opts.threads
     } else {
@@ -312,7 +205,7 @@ pub fn replay_with(
     };
 
     let mut idx = 0;
-    'epochs: while idx < trace.entries.len() {
+    while idx < trace.entries.len() {
         let epoch = trace.entries[idx].epoch;
         if opts.until.is_some_and(|until| epoch > until) {
             break;
@@ -323,16 +216,13 @@ pub fn replay_with(
         }
         let entries = &trace.entries[idx..end];
         let tick = entries[0].tick_secs;
-        core.apply(&SessionOp::AdvanceTo(SimTime::from_secs(tick)), threads);
-        if let (Some(accum), Some(slo)) = (&slo_accum, slo_engine.as_mut()) {
-            for alert in slo.drain(accum, tick) {
-                core.alert_telemetry().emit(|| alert.clone());
-            }
-        }
 
-        // Parse payloads and split out recorded queue-timeouts up front.
-        let mut parsed = Vec::with_capacity(entries.len());
-        for entry in entries {
+        // Parse payloads and split out recorded queue-timeouts, which
+        // never reached the session. `at[i]` is op i's place in `entries`.
+        let mut ops = Vec::with_capacity(entries.len());
+        let mut at = Vec::with_capacity(entries.len());
+        let mut timed_out = Vec::new();
+        for (pos, entry) in entries.iter().enumerate() {
             let bad = |detail: String| ReplayError::BadEntry {
                 seq: entry.seq,
                 detail,
@@ -348,110 +238,46 @@ pub fn replay_with(
             }
             let recorded = Response::parse(&entry.response)
                 .ok_or_else(|| bad("response does not parse".to_string()))?;
-            let timed_out = matches!(
-                recorded,
-                Response::Error {
-                    code: ErrorCode::Timeout,
-                    ..
-                }
-            );
-            parsed.push((entry, request, timed_out));
-        }
-
-        // Pass 1: the epoch's executed negotiates, as one batch with the
-        // recorded job ids (rejected negotiates consumed an id too).
-        let mut batch: Vec<(JobId, AdmissionRequest)> = Vec::new();
-        let mut batch_entries: Vec<&TraceEntry> = Vec::new();
-        for (entry, request, timed_out) in &parsed {
-            if *timed_out {
-                continue;
-            }
-            if let Request::Negotiate {
-                size, runtime_secs, ..
-            } = request
+            if let Response::Error {
+                code: ErrorCode::Timeout,
+                ..
+            } = recorded
             {
-                let Some(job) = entry.job else {
-                    return Err(ReplayError::BadEntry {
-                        seq: entry.seq,
-                        detail: "executed negotiate is missing its engine-assigned job id".into(),
-                    });
-                };
-                batch.push((
-                    JobId::new(job),
-                    AdmissionRequest {
-                        size: *size,
-                        runtime: SimDuration::from_secs(*runtime_secs),
-                    },
-                ));
-                batch_entries.push(entry);
-            }
-        }
-        if !batch.is_empty() {
-            let SessionOpOutcome::Quotes(decisions) =
-                core.apply(&SessionOp::QuoteBatch(batch.clone()), threads)
-            else {
-                unreachable!("QuoteBatch yields Quotes");
-            };
-            for ((entry, (job, _)), decision) in batch_entries.iter().zip(&batch).zip(decisions) {
-                let request_id = Request::parse(&entry.request).expect("parsed above").id();
-                let replayed = engine::quote_response(request_id, job.as_u64(), decision);
-                check_parity(opts, entry, &replayed, &mut report);
-            }
-        }
-
-        // Pass 2: everything else in arrival order.
-        for (entry, request, timed_out) in &parsed {
-            if *timed_out {
-                report.timeouts_honored += 1;
+                timed_out.push(pos);
                 continue;
             }
-            let id = request.id();
-            let replayed = match request {
-                Request::Negotiate { .. } => continue, // replayed in pass 1
-                Request::Accept { job, .. } => {
-                    let SessionOpOutcome::Accepted(outcome) =
-                        core.apply(&SessionOp::Accept(JobId::new(*job)), threads)
-                    else {
-                        unreachable!("Accept yields Accepted");
-                    };
-                    engine::accept_outcome_response(id, &outcome)
-                }
-                Request::Cancel { job, .. } => {
-                    let SessionOpOutcome::Cancelled(outcome) =
-                        core.apply(&SessionOp::Cancel(JobId::new(*job)), threads)
-                    else {
-                        unreachable!("Cancel yields Cancelled");
-                    };
-                    engine::cancel_outcome_response(id, &outcome)
-                }
-                Request::Status { .. } | Request::Dump { .. } | Request::History { .. } => {
-                    report.skipped_nondeterministic += 1;
-                    continue;
-                }
-                Request::Shutdown { .. } => {
-                    let replayed = Response::Ok { id };
-                    check_parity(opts, entry, &replayed, &mut report);
-                    report.shutdown_seen = true;
-                    report.entries_replayed = parsed
-                        .iter()
-                        .position(|(e, _, _)| e.seq == entry.seq)
-                        .map_or(report.entries_replayed, |pos| {
-                            report.entries_replayed + pos + 1
-                        });
-                    report.epochs_replayed += 1;
-                    on_epoch(&EpochSummary {
-                        epoch,
-                        tick_secs: tick,
-                        entries: entries.len(),
-                        live_jobs: core.live_jobs(),
-                        mismatches: report.mismatches.len(),
-                    });
-                    break 'epochs;
-                }
+            // Rejected negotiates consumed a job id too.
+            let job = match request {
+                Request::Negotiate { .. } => Some(JobId::new(entry.job.ok_or_else(|| {
+                    bad("executed negotiate is missing its engine-assigned job id".into())
+                })?)),
+                _ => None,
             };
-            check_parity(opts, entry, &replayed, &mut report);
+            ops.push((request, job));
+            at.push(pos);
         }
-        report.entries_replayed += entries.len();
+
+        // Entries past a shutdown were never answered.
+        let mut cut = entries.len();
+        let shutdown = tick::step(
+            &mut core,
+            slo.as_mut(),
+            tick,
+            &ops,
+            threads,
+            |_, i, answer| match answer {
+                Answer::Batching => {}
+                Answer::Query => report.skipped_nondeterministic += 1,
+                Answer::Response(response) => {
+                    check_parity(opts, &entries[at[i]], &response, &mut report);
+                    if matches!(ops[i].0, Request::Shutdown { .. }) {
+                        cut = at[i] + 1;
+                    }
+                }
+            },
+        );
+        report.timeouts_honored += timed_out.iter().filter(|&&pos| pos < cut).count();
+        report.entries_replayed += cut;
         report.epochs_replayed += 1;
         on_epoch(&EpochSummary {
             epoch,
@@ -460,20 +286,17 @@ pub fn replay_with(
             live_jobs: core.live_jobs(),
             mismatches: report.mismatches.len(),
         });
+        if shutdown {
+            report.shutdown_seen = true;
+            break;
+        }
         idx = end;
     }
 
     core.flush();
-    // One plane: its buffer IS the journal. Sharded: merge the per-plane
-    // buffers exactly as qosd merges its per-plane files, so the replayed
-    // journal is byte-comparable against the daemon's merged one.
-    let texts: Vec<String> = journal_bufs.iter().map(SharedBuf::take_string).collect();
-    report.journal = if texts.len() == 1 {
-        texts.into_iter().next().unwrap_or_default()
-    } else {
-        let refs: Vec<&str> = texts.iter().map(String::as_str).collect();
-        pqos_telemetry::merge::merge_journals_to_string(&refs)
-    };
+    let texts: Vec<String> = journals.iter().map(SharedBuf::take_string).collect();
+    let refs: Vec<&str> = texts.iter().map(String::as_str).collect();
+    report.journal = spec.merge_journals(&refs);
     report.elapsed = started.elapsed();
     Ok(report)
 }
@@ -508,7 +331,31 @@ mod tests {
     use crate::engine::{self as eng, EngineConfig, ReplySender};
     use crate::flight::FlightRecorder;
     use crate::record::TraceRecorder;
+    use crate::shard::ShardedCore;
+    use crate::spec::{BoxedPredictor, SloPlane};
+    use pqos_core::config::SimConfig;
+    use pqos_core::session::NegotiationSession;
+    use pqos_predict::api::NullPredictor;
+    use pqos_telemetry::Telemetry;
     use std::time::Duration as StdDuration;
+
+    /// Builds `spec`'s core with one in-memory journal per plane, in
+    /// merge order — a live daemon's core, minus the files.
+    fn buffered(
+        spec: &CoreSpec,
+    ) -> (
+        ShardedCore<BoxedPredictor>,
+        Option<SloPlane>,
+        Vec<SharedBuf>,
+    ) {
+        let mut bufs = Vec::new();
+        let Ok((core, slo)) = spec.build(|_, builder| {
+            let buf = SharedBuf::new();
+            bufs.push(buf.clone());
+            Ok::<_, Infallible>(builder.flush_every(0).jsonl_writer(buf).build())
+        });
+        (core, slo, bufs)
+    }
 
     /// Records an in-process engine run, then replays it and asserts the
     /// round trip: byte-identical journal, 100% response parity.
@@ -624,41 +471,25 @@ mod tests {
     /// the exact `slo_alert` lines, byte for byte.
     #[test]
     fn slo_alerts_record_then_replay_byte_identically() {
-        use pqos_telemetry::{AlertState, SloAccum, SloSink, TelemetryEvent};
+        use pqos_telemetry::{AlertState, TelemetryEvent};
         let trace_buf = SharedBuf::new();
-        let journal_buf = SharedBuf::new();
-        let meta = pqos_telemetry::reqtrace::TraceMeta {
-            version: pqos_telemetry::reqtrace::TRACE_FORMAT_VERSION,
-            source: "qosd".into(),
+        let spec = CoreSpec {
             cluster_size: 16,
-            time_scale: 5000.0,
-            batch_threads: 2,
-            quote_horizon_secs: None,
-            predictor: "null".into(),
-            shards: 1,
             slo: vec!["tight:rejects<=0@1".into()],
             slo_window_secs: 60,
+            ..CoreSpec::default()
         };
-        let accum = Arc::new(SloAccum::new(60));
-        let telemetry = Telemetry::builder()
-            .flush_every(0)
-            .jsonl_writer(journal_buf.clone())
-            .sink(Box::new(SloSink(Arc::clone(&accum))))
-            .build();
-        let session = NegotiationSession::new(
-            SimConfig::paper_defaults().cluster_size_nodes(16),
-            NullPredictor,
-            telemetry,
-        );
-        let config = EngineConfig {
+        let (core, slo, bufs) = buffered(&spec);
+        let journal_buf = bufs[0].clone();
+        let mut config = EngineConfig {
             time_scale: 5000.0,
             batch_threads: 2,
-            slo_rules: vec![pqos_telemetry::slo::parse_rule("tight:rejects<=0@1").unwrap()],
-            slo_accum: Some(accum),
             ..EngineConfig::default()
         };
+        let meta = spec.trace_meta(&config);
+        config.slo = slo;
         let recorder = TraceRecorder::to_writer(trace_buf.clone(), &meta).unwrap();
-        let (handle, join) = eng::spawn(session, config, FlightRecorder::disabled(), recorder);
+        let (handle, join) = eng::spawn_core(core, config, FlightRecorder::disabled(), recorder);
         let (reply, rx) = ReplySender::channel();
         let ask = |request: Request| {
             handle.submit(request, &reply, None, 1).expect("accepts");
@@ -732,28 +563,12 @@ mod tests {
     #[test]
     fn cancel_and_requote_interleaving_replays_clean() {
         let trace_buf = SharedBuf::new();
-        let journal_buf = SharedBuf::new();
-        let meta = pqos_telemetry::reqtrace::TraceMeta {
-            version: pqos_telemetry::reqtrace::TRACE_FORMAT_VERSION,
-            source: "qosd".into(),
+        let spec = CoreSpec {
             cluster_size: 4,
-            time_scale: 0.001,
-            batch_threads: 1,
-            quote_horizon_secs: None,
-            predictor: "null".into(),
-            shards: 1,
-            slo: Vec::new(),
-            slo_window_secs: pqos_telemetry::slo::DEFAULT_WINDOW_SECS,
+            ..CoreSpec::default()
         };
-        let telemetry = Telemetry::builder()
-            .flush_every(0)
-            .jsonl_writer(journal_buf.clone())
-            .build();
-        let session = NegotiationSession::new(
-            SimConfig::paper_defaults().cluster_size_nodes(4),
-            NullPredictor,
-            telemetry,
-        );
+        let (core, _, bufs) = buffered(&spec);
+        let journal_buf = bufs[0].clone();
         // Near-frozen virtual time: accepted-but-queued jobs never start,
         // so every cancel below targets a cancellable reservation.
         let config = EngineConfig {
@@ -761,8 +576,9 @@ mod tests {
             batch_threads: 1,
             ..EngineConfig::default()
         };
+        let meta = spec.trace_meta(&config);
         let recorder = TraceRecorder::to_writer(trace_buf.clone(), &meta).unwrap();
-        let (handle, join) = eng::spawn(session, config, FlightRecorder::disabled(), recorder);
+        let (handle, join) = eng::spawn_core(core, config, FlightRecorder::disabled(), recorder);
         let (reply, rx) = ReplySender::channel();
         let recv = || rx.recv_timeout(StdDuration::from_secs(5)).expect("reply").0;
         let ask = |request: Request| {
@@ -871,18 +687,8 @@ mod tests {
 
     #[test]
     fn refuses_loadgen_and_unknown_predictor_traces() {
-        let mut meta = pqos_telemetry::reqtrace::TraceMeta {
-            version: pqos_telemetry::reqtrace::TRACE_FORMAT_VERSION,
-            source: "loadgen".into(),
-            cluster_size: 4,
-            time_scale: 1.0,
-            batch_threads: 1,
-            quote_horizon_secs: None,
-            predictor: "null".into(),
-            shards: 1,
-            slo: Vec::new(),
-            slo_window_secs: pqos_telemetry::slo::DEFAULT_WINDOW_SECS,
-        };
+        let mut meta = CoreSpec::default().trace_meta(&EngineConfig::default());
+        meta.source = "loadgen".into();
         let trace = RequestTrace {
             meta: meta.clone(),
             entries: vec![],
@@ -903,18 +709,7 @@ mod tests {
 
     #[test]
     fn until_cuts_the_replay_short() {
-        let meta = pqos_telemetry::reqtrace::TraceMeta {
-            version: pqos_telemetry::reqtrace::TRACE_FORMAT_VERSION,
-            source: "qosd".into(),
-            cluster_size: 8,
-            time_scale: 1.0,
-            batch_threads: 1,
-            quote_horizon_secs: None,
-            predictor: "null".into(),
-            shards: 1,
-            slo: Vec::new(),
-            slo_window_secs: pqos_telemetry::slo::DEFAULT_WINDOW_SECS,
-        };
+        let meta = CoreSpec::default().trace_meta(&EngineConfig::default());
         let entry = |seq, epoch, tick, job: u64| TraceEntry {
             seq,
             epoch,
@@ -956,54 +751,21 @@ mod tests {
     /// merge of the live run's per-plane journals.
     #[test]
     fn sharded_record_then_replay_round_trips() {
-        use crate::shard::{partition_spans, ShardedCore};
-
         let trace_buf = SharedBuf::new();
-        let meta = pqos_telemetry::reqtrace::TraceMeta {
-            version: pqos_telemetry::reqtrace::TRACE_FORMAT_VERSION,
-            source: "qosd".into(),
+        // The live core comes from the same spec pqos-qosd --shards 4
+        // builds, except each plane journals to a buffer instead of a file.
+        let spec = CoreSpec {
             cluster_size: 16,
-            time_scale: 2000.0,
-            batch_threads: 2,
-            quote_horizon_secs: None,
-            predictor: "null".into(),
             shards: 4,
-            slo: Vec::new(),
-            slo_window_secs: pqos_telemetry::slo::DEFAULT_WINDOW_SECS,
+            ..CoreSpec::default()
         };
-        // Build the live core exactly the way pqos-qosd --shards 4 does,
-        // except each plane journals to a buffer instead of a file.
-        let mut plane_bufs = Vec::new();
-        let mut sessions = Vec::new();
-        for span in partition_spans(16, 4) {
-            let buf = SharedBuf::new();
-            let telemetry = Telemetry::builder()
-                .flush_every(0)
-                .jsonl_writer(buf.clone())
-                .build();
-            plane_bufs.push(buf);
-            sessions.push(
-                NegotiationSession::new(
-                    SimConfig::paper_defaults().cluster_size_nodes(span.width),
-                    NullPredictor,
-                    telemetry,
-                )
-                .node_base(u64::from(span.base)),
-            );
-        }
-        let wide_buf = SharedBuf::new();
-        let coordinator = Telemetry::builder()
-            .flush_every(0)
-            .jsonl_writer(wide_buf.clone())
-            .build();
-        plane_bufs.push(wide_buf);
-        let core =
-            ShardedCore::sharded(sessions, NullPredictor, coordinator, Telemetry::disabled());
+        let (core, _, plane_bufs) = buffered(&spec);
         let config = EngineConfig {
             time_scale: 2000.0,
             batch_threads: 2,
             ..EngineConfig::default()
         };
+        let meta = spec.trace_meta(&config);
         let recorder = TraceRecorder::to_writer(trace_buf.clone(), &meta).unwrap();
         let (handle, join) = eng::spawn_core(core, config, FlightRecorder::disabled(), recorder);
         let (reply, rx) = ReplySender::channel();

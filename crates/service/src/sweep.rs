@@ -2,8 +2,8 @@
 //! daemons at increasing engine shard counts.
 //!
 //! `pqos-loadgen --shards 1,2,4` comes in here. For each count the sweep
-//! binds an ephemeral port, builds an N-way [`ShardedCore`] over the
-//! configured cluster (null predictor, registry-only telemetry — the
+//! binds an ephemeral port, builds an N-way core from a [`CoreSpec`] over
+//! the configured cluster (null predictor, registry-only telemetry — the
 //! point is admission throughput, not journal I/O), serves it on a
 //! background thread, and drives it with the caller's client profile,
 //! shutting each daemon down before the next point. Every point sees the
@@ -19,11 +19,8 @@
 use crate::engine::EngineConfig;
 use crate::loadgen::{self, LoadgenConfig, LoadgenReport, ShardScalingRow};
 use crate::server::{serve_core, ServerConfig};
-use crate::shard::{partition_spans, ShardedCore};
-use pqos_core::config::SimConfig;
-use pqos_core::session::NegotiationSession;
-use pqos_predict::api::NullPredictor;
-use pqos_telemetry::Telemetry;
+use crate::spec::CoreSpec;
+use std::convert::Infallible;
 use std::net::TcpListener;
 
 /// What to sweep: the shard counts to try and the cluster they carve up.
@@ -71,7 +68,13 @@ pub fn shard_sweep(client: &LoadgenConfig, sweep: &SweepConfig) -> std::io::Resu
     for &shards in &sweep.shard_counts {
         let listener = TcpListener::bind("127.0.0.1:0")?;
         let addr = listener.local_addr()?;
-        let core = build_core(sweep.cluster_size, shards);
+        let spec = CoreSpec {
+            cluster_size: sweep.cluster_size,
+            shards,
+            verify_parity: false,
+            ..CoreSpec::default()
+        };
+        let Ok((core, _)) = spec.build(|_, builder| Ok::<_, Infallible>(builder.build()));
         let engine = sweep.engine.clone();
         let server =
             std::thread::spawn(move || serve_core(listener, core, ServerConfig::from(engine)));
@@ -107,34 +110,6 @@ pub fn shard_sweep(client: &LoadgenConfig, sweep: &SweepConfig) -> std::io::Resu
     let mut report = base_report.expect("at least one sweep point ran");
     report.shard_scaling = rows;
     Ok(report)
-}
-
-/// Builds the admission core for one sweep point: `shards` single-writer
-/// planes carving up `cluster` nodes, or the plain single plane when
-/// `shards` is 1. Telemetry is registry-only — no journal sinks — so the
-/// sweep measures admission work, not disk.
-fn build_core(cluster: u32, shards: u32) -> ShardedCore<NullPredictor> {
-    let session = |nodes: u32, base: u32| {
-        NegotiationSession::new(
-            SimConfig::paper_defaults().cluster_size_nodes(nodes),
-            NullPredictor,
-            Telemetry::builder().build(),
-        )
-        .node_base(u64::from(base))
-    };
-    if shards <= 1 {
-        return ShardedCore::single(session(cluster, 0));
-    }
-    let sessions = partition_spans(cluster, shards)
-        .into_iter()
-        .map(|span| session(span.width, span.base))
-        .collect();
-    ShardedCore::sharded(
-        sessions,
-        NullPredictor,
-        Telemetry::builder().build(),
-        Telemetry::builder().build(),
-    )
 }
 
 #[cfg(test)]
